@@ -45,17 +45,22 @@ endef
 bench-json:
 	$(call record-bench,$(GO) test -run='^$$' -bench='^(BenchmarkRewire|BenchmarkRestoreEndToEnd)$$' -benchmem -benchtime=$(BENCHTIME) ./internal/dkseries ./internal/core,BENCH_rewire.json)
 
-# bench-gate re-records the rewiring baseline and fails when any shared
-# benchmark regressed more than 20% in ns/op against the committed
-# BENCH_rewire.json. The committed numbers are snapshotted before
-# bench-json overwrites the file; the fresh recording is left in place for
-# inspection (and for committing when an improvement should become the new
-# baseline).
+# bench-gate re-records every gated baseline — the rewiring engine
+# (BENCH_rewire.json) and the property/read path (BENCH_props.json) — and
+# fails when any shared benchmark regressed more than 20% in ns/op against
+# the committed file. Each committed file is snapshotted before its
+# recording target overwrites it; the fresh recordings are left in place
+# for inspection (and for committing when an improvement should become the
+# new baseline). Every baseline is gated even after one fails, so a single
+# run reports all regressions.
+GATED_BENCH := bench-json:BENCH_rewire.json bench-props-json:BENCH_props.json
 bench-gate:
-	@base=$$(mktemp); cp BENCH_rewire.json $$base; \
-	$(MAKE) bench-json || { rm -f $$base; exit 1; }; \
-	bash scripts/bench_gate.sh $$base BENCH_rewire.json; st=$$?; \
-	rm -f $$base; exit $$st
+	@st=0; for pair in $(GATED_BENCH); do \
+		target=$${pair%%:*}; file=$${pair#*:}; \
+		base=$$(mktemp); cp $$file $$base; \
+		if $(MAKE) $$target; then bash scripts/bench_gate.sh $$base $$file || st=1; else st=1; fi; \
+		rm -f $$base; \
+	done; exit $$st
 
 # Oracle (graphd HTTP server + resilient client) throughput baseline — raw
 # query rate, full remote crawls, and the 8-concurrent-crawler load shape.

@@ -55,6 +55,10 @@ func main() {
 	if *crawlIn != "" && *journal != "" {
 		log.Fatal("-crawl and -journal are mutually exclusive")
 	}
+	// Reject a bad -rc before any crawl work; core.Restore would too.
+	if err := (core.Options{RC: *rc}).Validate(); err != nil {
+		log.Fatal(err)
+	}
 	stopProf, err := pf.Start()
 	if err != nil {
 		log.Fatal(err)

@@ -71,6 +71,22 @@ func TestCLIPipeline(t *testing.T) {
 	}
 }
 
+// TestCLIRestoreRejectsBadRC: an -rc that is not finite or lies outside
+// [0, dkseries.MaxRC] fails the command before any work, where it used to
+// overflow the attempt budget and report "accepted 0/0 swaps" as success.
+func TestCLIRestoreRejectsBadRC(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles cmd/restore")
+	}
+	for _, rc := range []string{"1e30", "NaN", "+Inf", "-Inf", "-1"} {
+		out, err := exec.Command("go", "run", "./cmd/restore", "-dataset", "anybeat",
+			"-scale", "0.01", "-rc", rc, "-compare=false").CombinedOutput()
+		if err == nil || !strings.Contains(string(out), "rc") || strings.Contains(string(out), "restored:") {
+			t.Errorf("-rc %s: err %v, output:\n%s", rc, err, out)
+		}
+	}
+}
+
 // TestCLIOraclePipeline drives the client/server workflow end to end: boot
 // graphd on a random port, crawl it over HTTP with a journal, require the
 // crawl byte-identical to the in-memory path at the same seed, and restore

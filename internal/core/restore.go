@@ -24,7 +24,9 @@ type Options struct {
 	// only abort a result, never change one.
 	Ctx context.Context
 	// RC is the rewiring-attempt coefficient (Sec. V-E; paper default 500).
-	// Zero selects dkseries.DefaultRC.
+	// Zero selects dkseries.DefaultRC. Values outside [0, dkseries.MaxRC],
+	// NaN and infinities make every restoration entry point return an
+	// error (see Validate).
 	RC float64
 	// SkipRewiring disables phase 4 entirely (for ablation experiments).
 	SkipRewiring bool
@@ -49,8 +51,17 @@ type Options struct {
 	Rand *rand.Rand
 }
 
+// Validate rejects options no restoration can run with: today an RC that
+// fails dkseries.CheckRC. Every restoration entry point calls it first.
+func (o Options) Validate() error {
+	if err := dkseries.CheckRC(o.RC); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	return nil
+}
+
 func (o Options) rc() float64 {
-	if o.RC <= 0 {
+	if o.RC == 0 {
 		return dkseries.DefaultRC
 	}
 	return o.RC
@@ -184,6 +195,9 @@ func run(c *sampling.Crawl, opts Options, useSubgraph bool) (*Result, error) {
 func runWith(c *sampling.Crawl, est *estimate.Estimates, opts Options, useSubgraph bool) (*Result, error) {
 	if opts.Rand == nil {
 		return nil, fmt.Errorf("core: Options.Rand is required")
+	}
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
 	start := time.Now() //sgr:nondet-ok timing metadata for Result.TotalTime; never feeds graph bytes or the result key
 	if err := opts.ctxErr(); err != nil {

@@ -1,6 +1,7 @@
 package dkseries
 
 import (
+	"fmt"
 	"math/rand/v2"
 
 	"sgr/internal/graph"
@@ -50,8 +51,12 @@ func DK2(g *graph.Graph, r *rand.Rand) (*graph.Graph, error) {
 }
 
 // DK25 generates a 2.5K-graph of g: a 2K-graph rewired toward g's true
-// degree-dependent clustering coefficient with attempt coefficient rc.
+// degree-dependent clustering coefficient with attempt coefficient rc,
+// which must pass CheckRC.
 func DK25(g *graph.Graph, rc float64, r *rand.Rand) (*graph.Graph, RewireStats, error) {
+	if err := CheckRC(rc); err != nil {
+		return nil, RewireStats{}, fmt.Errorf("dkseries: %w", err)
+	}
 	dv, err := FromGraph(g)
 	if err != nil {
 		return nil, RewireStats{}, err

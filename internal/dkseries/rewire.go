@@ -1,6 +1,8 @@
 package dkseries
 
 import (
+	"fmt"
+	"math"
 	"math/rand/v2"
 	"slices"
 
@@ -14,7 +16,8 @@ type RewireOptions struct {
 	// coefficient c-hat(k) the rewiring tries to match.
 	TargetClustering map[int]float64
 	// RC is the coefficient of the number of rewiring attempts: the loop
-	// runs RC * len(candidates) attempts (paper default 500).
+	// runs RC * len(candidates) attempts (paper default 500). It must
+	// pass CheckRC; Rewire panics otherwise.
 	RC float64
 	// Rand drives edge selection.
 	Rand *rand.Rand
@@ -26,6 +29,37 @@ type RewireOptions struct {
 
 // DefaultRC is the paper's rewiring-attempt coefficient (Sec. V-E).
 const DefaultRC = 500
+
+// MaxRC is the largest rewiring-attempt coefficient any entry point
+// accepts, 2000x the paper's default. It keeps RC * len(candidates) far
+// inside int range for any graph that fits in memory.
+const MaxRC = 1e6
+
+// CheckRC reports whether rc is a usable rewiring-attempt coefficient:
+// finite and within [0, MaxRC]. NaN, infinities, negative values and
+// values past MaxRC are rejected.
+func CheckRC(rc float64) error {
+	if !(rc >= 0 && rc <= MaxRC) { // false for NaN too
+		return fmt.Errorf("rc %v out of range [0, %g]", rc, float64(MaxRC))
+	}
+	return nil
+}
+
+// AttemptBudget is the total number of rewiring attempts both engines run
+// for rc and the given candidate count: int(rc * candidates). An invalid rc
+// (see CheckRC) or a budget past int range panics instead of truncating to
+// a zero or negative budget that would silently skip rewiring; callers
+// taking rc from input validate it with CheckRC first.
+func AttemptBudget(rc float64, candidates int) int {
+	if err := CheckRC(rc); err != nil {
+		panic("dkseries: " + err.Error())
+	}
+	budget := rc * float64(candidates)
+	if budget >= math.MaxInt {
+		panic(fmt.Sprintf("dkseries: attempt budget %g * %d overflows int", rc, candidates))
+	}
+	return int(budget)
+}
 
 // RewireStats reports what the rewiring loop did. Attempts, Accepted and
 // the L1 fields are filled by both engines; Rounds and Recomputed are
@@ -60,10 +94,10 @@ type RewireStats struct {
 // RewireSharded instead; use Rewire when a single *rand.Rand must drive
 // the whole attempt sequence, as DK25 does.
 func Rewire(n int, fixed []graph.Edge, candidates []graph.Edge, opts RewireOptions) (*graph.Graph, RewireStats) {
+	attempts := AttemptBudget(opts.RC, len(candidates))
 	st := newRewireState(n, fixed, candidates, opts.TargetClustering)
 	stats := RewireStats{InitialL1: st.distance()}
 	if len(candidates) > 0 && st.normC > 0 {
-		attempts := int(opts.RC * float64(len(candidates)))
 		for i := 0; i < attempts; i++ {
 			stats.Attempts++
 			if st.attempt(opts.Rand, opts.ForbidDegenerate) {

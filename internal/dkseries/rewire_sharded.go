@@ -75,7 +75,8 @@ type ShardedRewireOptions struct {
 	// coefficient c-hat(k) the rewiring tries to match.
 	TargetClustering map[int]float64
 	// RC is the rewiring-attempt coefficient: the engine issues
-	// RC * len(candidates) proposals in total (paper default 500).
+	// RC * len(candidates) proposals in total (paper default 500). It
+	// must pass CheckRC; RewireSharded panics otherwise.
 	RC float64
 	// Seed1, Seed2 seed the per-shard proposal streams through
 	// sampling.SubStream(Seed1, Seed2, shard). They select the result.
@@ -141,10 +142,10 @@ func (o ShardedRewireOptions) roundSize() int {
 // the serial engine's for any seed: the two engines share state and
 // accept semantics, not proposal sequences.
 func RewireSharded(n int, fixed []graph.Edge, candidates []graph.Edge, opts ShardedRewireOptions) (*graph.Graph, RewireStats) {
+	total := AttemptBudget(opts.RC, len(candidates))
 	st, rows := newShardedState(n, fixed, candidates, opts.TargetClustering)
 	stats := RewireStats{InitialL1: st.distance()}
 	if len(candidates) > 0 && st.normC > 0 {
-		total := int(opts.RC * float64(len(candidates)))
 		newShardedRun(st, rows, opts).run(total, &stats)
 	}
 	stats.FinalL1 = st.distance()

@@ -23,9 +23,10 @@ func BenchmarkComputeAllExact(b *testing.B) {
 }
 
 // BenchmarkComputeAllExactRef runs the frozen pre-CSR Compute pipeline
-// (csrdiff_test.go) on the same graph and options, so BENCH_props.json
-// carries before/after numbers measured on the same hardware — the
-// counterpart of BenchmarkRewire's adjset-vs-mapref split.
+// with the frozen Brandes kernel (csrdiff_test.go) on the same graph and
+// options, so BENCH_props.json carries before/after numbers measured on
+// the same hardware — the counterpart of BenchmarkRewire's
+// adjset-vs-mapref split.
 func BenchmarkComputeAllExactRef(b *testing.B) {
 	g := benchGraph(b, 2000)
 	opts := Options{ExactThreshold: 5000}
@@ -57,17 +58,33 @@ func BenchmarkComputeAllPivotRef(b *testing.B) {
 	}
 }
 
-func BenchmarkBrandesAllSources(b *testing.B) {
+func brandesBenchInput(b *testing.B) (*csr, []int32) {
+	b.Helper()
 	g := benchGraph(b, 1500)
-	c := newCSR(g)
 	sources := make([]int32, g.N())
 	for i := range sources {
 		sources[i] = int32(i)
 	}
+	return newCSR(g), sources
+}
+
+func BenchmarkBrandesAllSources(b *testing.B) {
+	c, sources := brandesBenchInput(b)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		computePaths(c, sources, 1, 0)
+	}
+}
+
+// BenchmarkBrandesAllSourcesRef runs the frozen arc-rescanning kernel
+// (brandesref_test.go) through the same driver on the same input.
+func BenchmarkBrandesAllSourcesRef(b *testing.B) {
+	c, sources := brandesBenchInput(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		refComputePaths(c, sources, 1, 0)
 	}
 }
 

@@ -199,9 +199,9 @@ func refLambda1(g *graph.Graph) float64 {
 }
 
 // refCompute is the frozen pre-CSR Compute pipeline: private throwaway csr,
-// materialized LargestComponent, map/probe-based local properties. The
-// shared computePaths machinery is identical, so for the same Options the
-// outputs must match Compute bit for bit.
+// materialized LargestComponent, map/probe-based local properties, and the
+// frozen arc-rescanning Brandes kernel (brandesref_test.go). For the same
+// Options the outputs must match Compute bit for bit.
 func refCompute(g *graph.Graph, opts Options) *Result {
 	opts = opts.withDefaults()
 	local := refLocalClustering(g)
@@ -228,7 +228,7 @@ func refCompute(g *graph.Graph, opts Options) *Result {
 	if len(sources) < lcc.N() {
 		scale = float64(lcc.N()) / float64(len(sources))
 	}
-	st := computePaths(c, sources, scale, opts.Workers)
+	st := refComputePaths(c, sources, scale, opts.Workers)
 	res.AvgPathLen = st.AvgLen
 	res.PathLenDist = st.Dist
 	res.Diameter = st.Diameter

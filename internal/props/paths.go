@@ -101,12 +101,19 @@ type pathPartial struct {
 }
 
 // pathWorkspace holds per-worker Brandes state, reused across sources.
+// queue is the BFS order, which is also the order the backward pass
+// reverses. succ is the successor buffer: the forward pass appends the CSR
+// index of every shortest-path DAG arc (u -> v with dist[v] == dist[u]+1),
+// and the arcs of queue[i] occupy succ[succStart[i]:succStart[i+1]] in
+// ascending arc order. Each arc is recorded at most once per source, so
+// succ is sized once to len(c.nbr).
 type pathWorkspace struct {
-	dist  []int32
-	sigma []float64
-	delta []float64
-	order []int32
-	queue []int32
+	dist      []int32
+	sigma     []float64
+	delta     []float64
+	queue     []int32
+	succ      []int32
+	succStart []int32
 }
 
 // computePaths runs Brandes' algorithm (which yields distances as a side
@@ -131,11 +138,12 @@ func computePaths(c *csr, sources []int32, scale float64, workers int) *PathStat
 				bc:        make([]float64, c.n),
 			}
 			ws := &pathWorkspace{
-				dist:  make([]int32, c.n),
-				sigma: make([]float64, c.n),
-				delta: make([]float64, c.n),
-				order: make([]int32, 0, c.n),
-				queue: make([]int32, 0, c.n),
+				dist:      make([]int32, c.n),
+				sigma:     make([]float64, c.n),
+				delta:     make([]float64, c.n),
+				queue:     make([]int32, 0, c.n),
+				succ:      make([]int32, len(c.nbr)),
+				succStart: make([]int32, c.n+1),
 			}
 			for i := w; i < len(sources); i += workers {
 				brandesFrom(c, sources[i], p, ws, scale)
@@ -144,8 +152,13 @@ func computePaths(c *csr, sources []int32, scale float64, workers int) *PathStat
 		}(w)
 	}
 	wg.Wait()
+	return mergePaths(partials, c.n, len(sources))
+}
 
-	st := &PathStats{Dist: make(map[int]float64), Betweenness: make([]float64, c.n)}
+// mergePaths folds the per-worker partials, in worker order, into the
+// statistics of an n-node component explored from nsources sources.
+func mergePaths(partials []*pathPartial, n, nsources int) *PathStats {
+	st := &PathStats{Dist: make(map[int]float64), Betweenness: make([]float64, n)}
 	var totalPairs, sumLen int64
 	lenCounts := make([]int64, 0)
 	for _, p := range partials {
@@ -172,48 +185,60 @@ func computePaths(c *csr, sources []int32, scale float64, workers int) *PathStat
 			}
 		}
 	}
-	st.Sources = len(sources)
-	st.Exact = len(sources) == c.n
+	st.Sources = nsources
+	st.Exact = nsources == n
 	return st
 }
 
 // brandesFrom runs one Brandes iteration from source s, accumulating path
 // length counts (ordered pairs s -> t) and dependency scores into p.
+//
+// The forward BFS counts shortest paths and records every DAG arc in the
+// workspace's successor buffer; the backward pass walks only those arcs, so
+// it never re-scans a row or re-tests a distance. The float operations and
+// their order are those of the arc-rescanning kernel it replaced — sigma[v]
+// += sigma[u]*m in arc order, then delta[u] += sigma[u]*m/sigma[v]*(1+delta[v])
+// over u's successors in ascending arc order — so results are bit-identical
+// to it (TestBrandesMatchesFrozen).
 func brandesFrom(c *csr, s int32, p *pathPartial, ws *pathWorkspace, scale float64) {
 	dist := ws.dist
 	sigma := ws.sigma
 	delta := ws.delta
+	succ := ws.succ
+	succStart := ws.succStart
 	for i := range dist {
 		dist[i] = -1
 		sigma[i] = 0
-		delta[i] = 0
 	}
-	order := ws.order[:0]
 	queue := ws.queue[:0]
 
 	dist[s] = 0
 	sigma[s] = 1
 	queue = append(queue, s)
+	ns := int32(0)
 	for qi := 0; qi < len(queue); qi++ {
 		u := queue[qi]
-		order = append(order, u)
-		du := dist[u]
-		for e := c.offset[u]; e < c.offset[u+1]; e++ {
-			v := c.nbr[e]
+		succStart[qi] = ns
+		dv := dist[u] + 1
+		su := sigma[u]
+		lo, hi := c.offset[u], c.offset[u+1]
+		mult := c.mult[lo:hi]
+		for i, v := range c.nbr[lo:hi] {
 			if dist[v] < 0 {
-				dist[v] = du + 1
+				dist[v] = dv
 				queue = append(queue, v)
 			}
-			if dist[v] == du+1 {
-				sigma[v] += sigma[u] * float64(c.mult[e])
+			if dist[v] == dv {
+				sigma[v] += su * float64(mult[i])
+				succ[ns] = lo + int32(i)
+				ns++
 			}
 		}
 	}
-	// Path-length statistics over ordered pairs (s, t), t != s.
-	for _, t := range order {
-		if t == s {
-			continue
-		}
+	succStart[len(queue)] = ns
+	// Path-length statistics over ordered pairs (s, t), t != s; queue[0]
+	// is s.
+	for _, t := range queue[1:] {
 		l := int(dist[t])
 		for len(p.lenCounts) <= l {
 			p.lenCounts = append(p.lenCounts, 0)
@@ -224,20 +249,20 @@ func brandesFrom(c *csr, s int32, p *pathPartial, ws *pathWorkspace, scale float
 			p.maxLen = l
 		}
 	}
-	// Dependency accumulation in reverse BFS order.
-	for i := len(order) - 1; i >= 0; i-- {
-		u := order[i]
-		du := dist[u]
-		for e := c.offset[u]; e < c.offset[u+1]; e++ {
+	// Dependency accumulation in reverse BFS order. delta[u] is written
+	// before any predecessor reads it, so it needs no reset.
+	for qi := len(queue) - 1; qi >= 0; qi-- {
+		u := queue[qi]
+		su := sigma[u]
+		du := 0.0
+		for _, e := range succ[succStart[qi]:succStart[qi+1]] {
 			v := c.nbr[e]
-			if dist[v] == du+1 {
-				delta[u] += sigma[u] * float64(c.mult[e]) / sigma[v] * (1 + delta[v])
-			}
+			du += su * float64(c.mult[e]) / sigma[v] * (1 + delta[v])
 		}
+		delta[u] = du
 		if u != s {
-			p.bc[u] += scale * delta[u]
+			p.bc[u] += scale * du
 		}
 	}
-	ws.order = order
 	ws.queue = queue
 }

@@ -20,7 +20,7 @@
 //
 // The wire protocol (version 1):
 //
-//	POST   /v1/jobs                   JobSpec -> JobStatus (202 new, 200 known, 429 + Retry-After full)
+//	POST   /v1/jobs                   JobSpec -> JobStatus (202 new, 200 known, 400 invalid, 429 + Retry-After full)
 //	GET    /v1/jobs/{id}              -> JobStatus
 //	DELETE /v1/jobs/{id}              -> JobStatus (cancellation request; 409 once terminal)
 //	GET    /v1/jobs/{id}/graph        -> binary SGRB bytes (?format=edgelist for text)
@@ -62,9 +62,10 @@ type JobSpec struct {
 	Seed uint64 `json:"seed"`
 	// Method is "proposed" (default) or "gjoka".
 	Method string `json:"method,omitempty"`
-	// RC is the rewiring-attempt coefficient; <= 0 selects the paper
-	// default (500). Submissions with the default spelled explicitly hash
-	// identically to ones that omit it.
+	// RC is the rewiring-attempt coefficient; 0 selects the paper default
+	// (500). Submissions with the default spelled explicitly hash
+	// identically to ones that omit it. A negative value or one past
+	// dkseries.MaxRC is rejected at submit with a 400.
 	RC float64 `json:"rc,omitempty"`
 	// SkipRewiring and ForbidDegenerate mirror core.Options.
 	SkipRewiring     bool `json:"skip_rewiring,omitempty"`

@@ -53,6 +53,9 @@ func resolveSpec(spec *JobSpec) (*jobSpec, error) {
 	if spec.TimeoutMS < 0 {
 		return nil, fmt.Errorf("timeout_ms must be >= 0, got %d", spec.TimeoutMS)
 	}
+	if err := dkseries.CheckRC(spec.RC); err != nil {
+		return nil, err
+	}
 	ps := &jobSpec{
 		rc:      spec.RC,
 		skip:    spec.SkipRewiring,
@@ -62,7 +65,7 @@ func resolveSpec(spec *JobSpec) (*jobSpec, error) {
 	}
 	// Normalize the options that core resolves internally, so every
 	// spelling of a default hashes the same.
-	if ps.rc <= 0 {
+	if ps.rc == 0 {
 		ps.rc = dkseries.DefaultRC
 	}
 	switch spec.Method {

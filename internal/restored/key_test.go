@@ -3,11 +3,13 @@ package restored
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"math/rand/v2"
 	"reflect"
 	"strings"
 	"testing"
 
+	"sgr/internal/dkseries"
 	"sgr/internal/gen"
 	"sgr/internal/graph"
 	"sgr/internal/sampling"
@@ -235,6 +237,12 @@ func TestResolveSpecRejects(t *testing.T) {
 		"unknown method":     {Seed: 1, Method: "magic", Crawl: canon},
 		"graphd without url": {Seed: 1, Graphd: &GraphdSource{Fraction: 0.1}},
 		"graphd fraction":    {Seed: 1, Graphd: &GraphdSource{URL: "http://x", Fraction: 1.5}},
+		"rc NaN":             {Seed: 1, RC: math.NaN(), Crawl: canon},
+		"rc +Inf":            {Seed: 1, RC: math.Inf(1), Crawl: canon},
+		"rc -Inf":            {Seed: 1, RC: math.Inf(-1), Crawl: canon},
+		"rc 1e30":            {Seed: 1, RC: 1e30, Crawl: canon},
+		"rc negative":        {Seed: 1, RC: -1, Crawl: canon},
+		"rc past MaxRC":      {Seed: 1, RC: math.Nextafter(dkseries.MaxRC, math.Inf(1)), Crawl: canon},
 	}
 	for name, spec := range cases {
 		if _, err := resolveSpec(spec); err == nil {

@@ -332,6 +332,7 @@ func TestHTTPErrors(t *testing.T) {
 
 	expectErr(http.MethodPost, ts.URL+"/v1/jobs", []byte("{broken"), http.StatusBadRequest, ErrCodeBadRequest)
 	expectErr(http.MethodPost, ts.URL+"/v1/jobs", []byte(`{"seed":1}`), http.StatusBadRequest, ErrCodeBadRequest)
+	expectErr(http.MethodPost, ts.URL+"/v1/jobs", []byte(`{"seed":1,"rc":1e30,"crawl":`+string(raw)+`}`), http.StatusBadRequest, ErrCodeBadRequest)
 	expectErr(http.MethodGet, ts.URL+"/v1/jobs/"+strings.Repeat("0", 64), nil, http.StatusNotFound, ErrCodeUnknownJob)
 	expectErr(http.MethodGet, ts.URL+"/v1/jobs/"+strings.Repeat("0", 64)+"/graph", nil, http.StatusNotFound, ErrCodeUnknownJob)
 
