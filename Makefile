@@ -10,7 +10,7 @@ BENCHTIME ?= 5x
 # anything (queries/s especially).
 ORACLE_BENCHTIME ?= 2000x
 
-.PHONY: build test race bench bench-json bench-gate bench-oracle-json bench-props-json bench-restored-json bench-load-json oracle-e2e restored-e2e loadgen-e2e chaos trace-demo lint fuzz ci
+.PHONY: build test race examples bench bench-json bench-gate bench-oracle-json bench-props-json bench-restored-json bench-load-json oracle-e2e restored-e2e loadgen-e2e chaos trace-demo lint fuzz ci
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,18 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+# Build and run every program under examples/, each in its own empty
+# working directory (visualize writes its SVGs there), failing on the
+# first example that exits non-zero.
+examples:
+	@tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	for dir in examples/*/; do \
+		name=$$(basename $$dir); echo "== examples/$$name"; \
+		$(GO) build -o "$$tmp/bin/$$name" ./$$dir || exit 1; \
+		mkdir -p "$$tmp/run/$$name"; \
+		(cd "$$tmp/run/$$name" && "$$tmp/bin/$$name") || { echo "examples/$$name failed"; exit 1; }; \
+	done
 
 # Compile-and-smoke every benchmark with a single iteration.
 bench:
@@ -39,8 +51,8 @@ define record-bench
 	cat $(2)
 endef
 
-# Rewiring-engine perf baseline: BenchmarkRewire (flat adjset engine, the
-# frozen map reference, and the sharded engine at 1 and 8 workers) and
+# Rewiring-engine perf baseline: BenchmarkRewire (the frozen serial adjset
+# and map references, and the sharded engine at 1 and 8 workers) and
 # BenchmarkRestoreEndToEnd, with allocation stats.
 bench-json:
 	$(call record-bench,$(GO) test -run='^$$' -bench='^(BenchmarkRewire|BenchmarkRestoreEndToEnd)$$' -benchmem -benchtime=$(BENCHTIME) ./internal/dkseries ./internal/core,BENCH_rewire.json)
@@ -145,4 +157,4 @@ fuzz:
 	$(GO) test ./internal/restored -run='^FuzzCacheKeyCanonicalization$$' -fuzz='^FuzzCacheKeyCanonicalization$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/restored -run='^FuzzJobJournal$$' -fuzz='^FuzzJobJournal$$' -fuzztime=$(FUZZTIME)
 
-ci: lint build test race fuzz bench oracle-e2e restored-e2e loadgen-e2e chaos
+ci: lint build test examples race fuzz bench oracle-e2e restored-e2e loadgen-e2e chaos

@@ -239,8 +239,8 @@ func BenchmarkAblationRewireCandidates(b *testing.B) {
 		var final float64
 		for i := 0; i < b.N; i++ {
 			cands := append([]graph.Edge(nil), addedOnly...)
-			_, st := dkseries.Rewire(build.Graph.N(), fixed, cands, dkseries.RewireOptions{
-				TargetClustering: target, RC: 20, Rand: benchRNG(uint64(i)),
+			_, st := dkseries.RewireSharded(build.Graph.N(), fixed, cands, dkseries.ShardedRewireOptions{
+				TargetClustering: target, RC: 20, Seed1: uint64(i),
 			})
 			final = st.FinalL1
 		}
@@ -250,8 +250,8 @@ func BenchmarkAblationRewireCandidates(b *testing.B) {
 		var final float64
 		for i := 0; i < b.N; i++ {
 			cands := append([]graph.Edge(nil), all...)
-			_, st := dkseries.Rewire(build.Graph.N(), nil, cands, dkseries.RewireOptions{
-				TargetClustering: target, RC: 20, Rand: benchRNG(uint64(i)),
+			_, st := dkseries.RewireSharded(build.Graph.N(), nil, cands, dkseries.ShardedRewireOptions{
+				TargetClustering: target, RC: 20, Seed1: uint64(i),
 			})
 			final = st.FinalL1
 		}

@@ -1,13 +1,17 @@
 // Command experiment regenerates the paper's evaluation artifacts (Sec. VI)
 // on the synthetic dataset stand-ins:
 //
-//	-exp fig3    Fig. 3   average L1 vs fraction queried (anybeat, brightkite, epinions)
-//	-exp table2  Table II per-property L1 at 10% queried (slashdot, gowalla, livemocha)
-//	-exp table3  Table III avg +- sd of L1 at 10% queried (six datasets)
-//	-exp table4  Table IV generation times at 10% queried (six datasets)
-//	-exp table5  Table V  YouTube stand-in at 1% queried
-//	-exp fig4    Fig. 4   visualization SVGs for the anybeat stand-in
-//	-exp all     everything above
+//	-exp fig3     Fig. 3   average L1 vs fraction queried (anybeat, brightkite, epinions)
+//	-exp tables   Tables II-IV from one shared set of evaluations (six datasets)
+//	-exp table2   Table II per-property L1 at 10% queried (slashdot, gowalla, livemocha)
+//	-exp table3   Table III avg +- sd of L1 at 10% queried (six datasets)
+//	-exp table4   Table IV generation times at 10% queried (six datasets)
+//	-exp table5   Table V  YouTube stand-in at 1% queried
+//	-exp fig4     Fig. 4   visualization SVGs for the anybeat stand-in
+//	-exp walkers  proposed method under three random-walk variants (anybeat)
+//	-exp all      fig3, tables, table5 and fig4
+//
+// Any other -exp value exits with status 2.
 //
 // The -scale, -runs and -rc flags trade fidelity for runtime; the paper's
 // settings are -scale 1 -runs 10 -rc 500.
@@ -20,6 +24,8 @@ import (
 	"math/rand/v2"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"time"
 
 	"sgr/internal/core"
@@ -71,7 +77,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiment: ")
 	var f flags
-	flag.StringVar(&f.exp, "exp", "all", "fig3, table2, table3, table4, table5, fig4, or all")
+	flag.StringVar(&f.exp, "exp", "all", "fig3, tables, table2, table3, table4, table5, fig4, walkers, or all")
 	flag.Float64Var(&f.scale, "scale", 0.05, "dataset node-count scale (paper: 1.0)")
 	flag.IntVar(&f.runs, "runs", 3, "independent runs per configuration (paper: 10)")
 	flag.Float64Var(&f.rc, "rc", 50, "rewiring attempt coefficient (paper: 500)")
@@ -85,26 +91,40 @@ func main() {
 		"worker pool width for the evaluation engine; results are identical at any value")
 	flag.Parse()
 
-	run := func(name string, fn func(flags) error, inAll bool) {
-		if f.exp == name || (f.exp == "all" && inAll) {
-			start := time.Now()
-			if err := fn(f); err != nil {
-				log.Fatalf("%s: %v", name, err)
-			}
-			fmt.Printf("[%s done in %.1fs]\n\n", name, time.Since(start).Seconds())
-		}
-	}
-	run("fig3", fig3, true)
 	// "tables" renders Tables II-IV from one shared set of evaluations;
 	// the individual table modes re-evaluate from scratch and are
 	// therefore excluded from "all".
-	run("tables", tables, true)
-	run("table2", table2, false)
-	run("table3", table3, false)
-	run("table4", table4, false)
-	run("table5", table5, true)
-	run("fig4", fig4, true)
-	run("walkers", walkers, false)
+	experiments := []struct {
+		name  string
+		fn    func(flags) error
+		inAll bool
+	}{
+		{"fig3", fig3, true},
+		{"tables", tables, true},
+		{"table2", table2, false},
+		{"table3", table3, false},
+		{"table4", table4, false},
+		{"table5", table5, true},
+		{"fig4", fig4, true},
+		{"walkers", walkers, false},
+	}
+	names := []string{"all"}
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	if !slices.Contains(names, f.exp) {
+		fmt.Fprintf(os.Stderr, "experiment: unknown -exp %q (valid: %s)\n", f.exp, strings.Join(names, ", "))
+		os.Exit(2)
+	}
+	for _, e := range experiments {
+		if f.exp == e.name || (f.exp == "all" && e.inAll) {
+			start := time.Now()
+			if err := e.fn(f); err != nil {
+				log.Fatalf("%s: %v", e.name, err)
+			}
+			fmt.Printf("[%s done in %.1fs]\n\n", e.name, time.Since(start).Seconds())
+		}
+	}
 }
 
 // walkers compares the proposed method driven by different random-walk

@@ -2,6 +2,7 @@ package sgr_test
 
 import (
 	"bytes"
+	"errors"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -213,5 +214,28 @@ func TestCLIExperimentSmoke(t *testing.T) {
 	}
 	if len(entries) < 7 {
 		t.Fatalf("expected >=7 SVGs, got %d", len(entries))
+	}
+}
+
+// TestCLIExperimentRejectsUnknownExp: an -exp name outside the documented
+// set exits with status 2 and lists the valid names instead of silently
+// running nothing.
+func TestCLIExperimentRejectsUnknownExp(t *testing.T) {
+	if testing.Short() {
+		t.Skip("compiles cmd/experiment")
+	}
+	bin := filepath.Join(t.TempDir(), "experiment")
+	if out, err := exec.Command("go", "build", "-o", bin, "./cmd/experiment").CombinedOutput(); err != nil {
+		t.Fatalf("building experiment: %v\n%s", err, out)
+	}
+	out, err := exec.Command(bin, "-exp", "bogus").CombinedOutput()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+		t.Fatalf("-exp bogus: err %v, want exit status 2; output:\n%s", err, out)
+	}
+	for _, name := range []string{"bogus", "all", "fig3", "tables", "table5", "fig4", "walkers"} {
+		if !strings.Contains(string(out), name) {
+			t.Errorf("-exp bogus output does not mention %q:\n%s", name, out)
+		}
 	}
 }

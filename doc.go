@@ -75,11 +75,11 @@
 // content address (differently configured daemons share cache lines) and
 // lets the bench gate (`make bench-gate`, scripts/bench_gate.sh) compare
 // recorded baselines across machines with different core counts. The
-// rewiring trajectory differs from the frozen serial dkseries.Rewire —
-// the engines share state and accept semantics, not proposal sequences —
-// and is pinned by worker-invariance, evaluator-equivalence and
-// differential white-box tests in internal/dkseries; see ARCHITECTURE.md
-// for the full determinism-contract inventory.
+// rewiring trajectory differs from that of Algorithm 6's serial loop (kept
+// as a frozen test reference) — the two share state and accept semantics,
+// not proposal sequences — and is pinned by worker-invariance, output
+// digest and differential white-box tests in internal/dkseries; see
+// ARCHITECTURE.md for the full determinism-contract inventory.
 //
 // Restoration itself is also served as a service: internal/restored plus
 // cmd/restored run the whole crawl → dK-series → rewiring pipeline behind

@@ -82,6 +82,17 @@ func (o Options) ctxErr() error {
 	}
 }
 
+// phase runs one traced pipeline step: it polls the context, then runs fn
+// inside the span name. The span closes however fn returns, so the trace
+// of a failed job still shows how long its failing phase ran.
+func (o Options) phase(name string, fn func() error) error {
+	if err := o.ctxErr(); err != nil {
+		return err
+	}
+	defer o.Trace.Start(name)()
+	return fn()
+}
+
 // PipelineRand returns the canonical RNG for a seeded restoration pipeline:
 // the stream cmd/restore has always derived from its -seed flag. Every
 // entry point that promises "byte-identical to cmd/restore at the same
@@ -200,51 +211,51 @@ func runWith(c *sampling.Crawl, est *estimate.Estimates, opts Options, useSubgra
 		return nil, err
 	}
 	start := time.Now() //sgr:nondet-ok timing metadata for Result.TotalTime; never feeds graph bytes or the result key
-	if err := opts.ctxErr(); err != nil {
-		return nil, err
-	}
 	if est == nil {
-		endSpan := opts.Trace.Start("estimate")
-		w, err := estimate.NewWalk(c)
-		if err != nil {
+		if err := opts.phase("estimate", func() error {
+			w, err := estimate.NewWalk(c)
+			if err != nil {
+				return err
+			}
+			est = estimate.All(w)
+			return nil
+		}); err != nil {
 			return nil, err
 		}
-		est = estimate.All(w)
-		endSpan()
 	}
 
 	var sub *sampling.Subgraph
 	if useSubgraph {
-		endSpan := opts.Trace.Start("subgraph")
-		sub = sampling.BuildSubgraph(c)
-		endSpan()
+		if err := opts.phase("subgraph", func() error {
+			sub = sampling.BuildSubgraph(c)
+			return nil
+		}); err != nil {
+			return nil, err
+		}
 	}
 
 	// Phase 1: target degree vector.
-	if err := opts.ctxErr(); err != nil {
+	var dvs *dvState
+	var targetDeg []int
+	if err := opts.phase("phase1_degree_vector", func() (err error) {
+		dvs, targetDeg, err = buildTargetDegreeVector(est, sub, opts.Rand)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	endSpan := opts.Trace.Start("phase1_degree_vector")
-	dvs, targetDeg, err := buildTargetDegreeVector(est, sub, opts.Rand)
-	if err != nil {
-		return nil, err
-	}
-	endSpan()
 
 	// Phase 2: target joint degree matrix.
 	var subGraph *graph.Graph
 	if sub != nil {
 		subGraph = sub.Graph
 	}
-	if err := opts.ctxErr(); err != nil {
+	var jdm *dkseries.JDM
+	if err := opts.phase("phase2_jdm", func() (err error) {
+		jdm, err = buildTargetJDM(est, dvs.dv, subGraph, targetDeg, opts.Rand)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	endSpan = opts.Trace.Start("phase2_jdm")
-	jdm, err := buildTargetJDM(est, dvs.dv, subGraph, targetDeg, opts.Rand)
-	if err != nil {
-		return nil, err
-	}
-	endSpan()
 
 	// Phase 3: add nodes and edges to the subgraph (Algorithm 5).
 	base := graph.New(0)
@@ -253,15 +264,13 @@ func runWith(c *sampling.Crawl, est *estimate.Estimates, opts Options, useSubgra
 		base = sub.Graph
 		baseTarget = targetDeg
 	}
-	if err := opts.ctxErr(); err != nil {
+	var built *dkseries.BuildResult
+	if err := opts.phase("phase3_construct", func() (err error) {
+		built, err = dkseries.Build(base, baseTarget, dvs.dv, jdm, opts.Rand)
+		return err
+	}); err != nil {
 		return nil, err
 	}
-	endSpan = opts.Trace.Start("phase3_construct")
-	built, err := dkseries.Build(base, baseTarget, dvs.dv, jdm, opts.Rand)
-	if err != nil {
-		return nil, err
-	}
-	endSpan()
 
 	res := &Result{
 		TargetDV:  dvs.dv,
@@ -276,40 +285,38 @@ func runWith(c *sampling.Crawl, est *estimate.Estimates, opts Options, useSubgra
 	if opts.SkipRewiring {
 		res.Graph = built.Graph
 	} else {
-		if err := opts.ctxErr(); err != nil {
+		rwStart := time.Now() //sgr:nondet-ok timing metadata for Result.RewireTime; never feeds graph bytes or the result key
+		if err := opts.phase("phase4_rewire", func() error {
+			var fixed []graph.Edge
+			if sub != nil {
+				fixed = sub.Graph.Edges()
+			}
+			// Two draws from the pipeline stream seed the sharded engine's
+			// per-shard sub-streams. The engine's output is a function of the
+			// seeds alone — never of RewireWorkers — so the pipeline remains a
+			// deterministic function of Options.Rand's stream at any worker
+			// count.
+			seed1, seed2 := opts.Rand.Uint64(), opts.Rand.Uint64()
+			res.Graph, res.RewireStats = dkseries.RewireSharded(built.Graph.N(), fixed, built.Added, dkseries.ShardedRewireOptions{
+				TargetClustering: est.Clustering,
+				RC:               opts.rc(),
+				Seed1:            seed1,
+				Seed2:            seed2,
+				ForbidDegenerate: opts.ForbidDegenerate,
+				Workers:          opts.RewireWorkers,
+				Trace:            opts.Trace,
+				Ctx:              opts.Ctx,
+			})
+			return nil
+		}); err != nil {
 			return nil, err
 		}
-		rwStart := time.Now() //sgr:nondet-ok timing metadata for Result.RewireTime; never feeds graph bytes or the result key
-		endSpan = opts.Trace.Start("phase4_rewire")
-		var fixed []graph.Edge
-		if sub != nil {
-			fixed = sub.Graph.Edges()
-		}
-		// Two draws from the pipeline stream seed the sharded engine's
-		// per-shard sub-streams. The engine's output is a function of the
-		// seeds alone — never of RewireWorkers — so the pipeline remains a
-		// deterministic function of Options.Rand's stream at any worker
-		// count.
-		seed1, seed2 := opts.Rand.Uint64(), opts.Rand.Uint64()
-		g, stats := dkseries.RewireSharded(built.Graph.N(), fixed, built.Added, dkseries.ShardedRewireOptions{
-			TargetClustering: est.Clustering,
-			RC:               opts.rc(),
-			Seed1:            seed1,
-			Seed2:            seed2,
-			ForbidDegenerate: opts.ForbidDegenerate,
-			Workers:          opts.RewireWorkers,
-			Trace:            opts.Trace,
-			Ctx:              opts.Ctx,
-		})
-		endSpan()
 		// The engine aborts between rounds when the context fires, handing
 		// back a valid but partially rewired graph. That graph must never
 		// leave the pipeline: re-check the context and discard it.
 		if err := opts.ctxErr(); err != nil {
 			return nil, err
 		}
-		res.Graph = g
-		res.RewireStats = stats
 		res.RewireTime = time.Since(rwStart) //sgr:nondet-ok timing metadata; never feeds graph bytes or the result key
 	}
 	res.TotalTime = time.Since(start) //sgr:nondet-ok timing metadata; never feeds graph bytes or the result key

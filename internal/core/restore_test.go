@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand/v2"
 	"testing"
+	"time"
 
 	"sgr/internal/dkseries"
 	"sgr/internal/estimate"
@@ -222,6 +225,42 @@ func TestRestoreTraceZeroNondeterminism(t *testing.T) {
 	if byName["rewire/propose"].Count == 0 || byName["rewire/commit"].Count == 0 {
 		t.Fatalf("rewire round timers recorded no episodes: propose=%d commit=%d",
 			byName["rewire/propose"].Count, byName["rewire/commit"].Count)
+	}
+}
+
+// TestPhaseClosesSpanOnError: a pipeline phase that fails still closes
+// its span with the time it ran — restored serves the traces of failed
+// jobs — and a cancelled context fails the phase before its span opens.
+func TestPhaseClosesSpanOnError(t *testing.T) {
+	tr := obs.NewTrace("phase-test")
+	boom := errors.New("boom")
+	err := Options{Trace: tr}.phase("failing", func() error {
+		time.Sleep(2 * time.Millisecond)
+		return boom
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("phase error = %v, want %v", err, boom)
+	}
+	spans := tr.Spans()
+	if len(spans) != 1 || spans[0].Name != "failing" {
+		t.Fatalf("spans = %+v, want one \"failing\" span", spans)
+	}
+	if spans[0].DurUS < 1000 {
+		t.Fatalf("failed phase span recorded %dus, want at least 1000", spans[0].DurUS)
+	}
+
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	ran := false
+	err = Options{Trace: tr, Ctx: ctx}.phase("cancelled", func() error {
+		ran = true
+		return nil
+	})
+	if !errors.Is(err, context.Canceled) || ran {
+		t.Fatalf("cancelled phase: err = %v, ran = %v", err, ran)
+	}
+	if n := len(tr.Spans()); n != 1 {
+		t.Fatalf("a cancelled phase opened a span: %d spans", n)
 	}
 }
 

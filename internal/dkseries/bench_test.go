@@ -28,11 +28,11 @@ func BenchmarkBuild2K(b *testing.B) {
 }
 
 // BenchmarkRewire drives the full Algorithm-6 loop on an identical
-// workload through both engines: the flat adjset implementation behind
-// Rewire and the frozen map-based reference (rewire_mapref_test.go).
-// `make bench-json` records both in BENCH_rewire.json; the adjset variant
-// must stay at least 2x lower in allocs/op with wall time no worse than
-// the recorded mapref baseline.
+// workload through the production engine, RewireSharded, and the two
+// frozen serial references: the flat adjset loop
+// (rewire_serialref_test.go) and the map-based loop it replaced
+// (rewire_mapref_test.go). `make bench-json` records all four variants in
+// BENCH_rewire.json, which `make bench-gate` compares run over run.
 func BenchmarkRewire(b *testing.B) {
 	src := benchSource(b, 2000)
 	dv, err := FromGraph(src)
@@ -45,12 +45,12 @@ func BenchmarkRewire(b *testing.B) {
 		b.Fatal(err)
 	}
 	target := DegreeClustering(src)
-	run := func(b *testing.B, engine func(int, []graph.Edge, []graph.Edge, RewireOptions) (*graph.Graph, RewireStats)) {
+	run := func(b *testing.B, engine func(int, []graph.Edge, []graph.Edge, rewireOptions) (*graph.Graph, RewireStats)) {
 		b.ReportAllocs()
 		var accepted int
 		for i := 0; i < b.N; i++ {
 			cands := append([]graph.Edge(nil), res.Added...)
-			_, st := engine(src.N(), nil, cands, RewireOptions{
+			_, st := engine(src.N(), nil, cands, rewireOptions{
 				TargetClustering: target,
 				RC:               5,
 				Rand:             rng(uint64(i)),
@@ -59,9 +59,9 @@ func BenchmarkRewire(b *testing.B) {
 		}
 		b.ReportMetric(float64(accepted), "accepted/op")
 	}
-	b.Run("adjset", func(b *testing.B) { run(b, Rewire) })
+	b.Run("adjset", func(b *testing.B) { run(b, rewireSerialRef) })
 	b.Run("mapref", func(b *testing.B) { run(b, rewireMapRef) })
-	// The sharded engine on the same workload. sharded1 vs sharded8
+	// The production engine on the same workload. sharded1 vs sharded8
 	// isolates parallel scaling; sharded1 vs adjset isolates the
 	// algorithmic win (rejections never mutate, so they never revert).
 	runSharded := func(b *testing.B, workers int) {
@@ -98,10 +98,11 @@ func BenchmarkRewireAttempts(b *testing.B) {
 		cands := append([]graph.Edge(nil), res.Added...)
 		// RC=1 -> one attempt per candidate edge; ns/op / len(cands) is
 		// the per-attempt cost.
-		Rewire(src.N(), nil, cands, RewireOptions{
+		RewireSharded(src.N(), nil, cands, ShardedRewireOptions{
 			TargetClustering: target,
 			RC:               1,
-			Rand:             rng(uint64(i)),
+			Seed1:            uint64(i),
+			Workers:          1,
 		})
 	}
 	b.ReportMetric(float64(len(res.Added)), "attempts/op")

@@ -66,11 +66,12 @@ func DK25(g *graph.Graph, rc float64, r *rand.Rand) (*graph.Graph, RewireStats, 
 	if err != nil {
 		return nil, RewireStats{}, err
 	}
-	target := DegreeClustering(g)
-	out, stats := Rewire(g.N(), nil, res.Added, RewireOptions{
-		TargetClustering: target,
+	seed1, seed2 := r.Uint64(), r.Uint64()
+	out, stats := RewireSharded(g.N(), nil, res.Added, ShardedRewireOptions{
+		TargetClustering: DegreeClustering(g),
 		RC:               rc,
-		Rand:             r,
+		Seed1:            seed1,
+		Seed2:            seed2,
 	})
 	return out, stats, nil
 }

@@ -81,10 +81,11 @@ func TestQuickRewireInvariants(t *testing.T) {
 		for k := 2; k < 8; k++ {
 			target[k] = r.Float64()
 		}
-		out, stats := Rewire(g.N(), fixed, cands, RewireOptions{
+		out, stats := RewireSharded(g.N(), fixed, cands, ShardedRewireOptions{
 			TargetClustering: target,
 			RC:               5,
-			Rand:             r,
+			Seed1:            r.Uint64(),
+			Seed2:            r.Uint64(),
 		})
 		if stats.FinalL1 > stats.InitialL1+1e-12 {
 			return false
@@ -119,10 +120,11 @@ func TestRewireForbidDegenerateNeverAddsDegeneracy(t *testing.T) {
 		cands := g.Edges()
 		before := g.CountMultiEdges()
 		target := map[int]float64{3: 0.9, 4: 0.7, 5: 0.4}
-		out, _ := Rewire(g.N(), nil, cands, RewireOptions{
+		out, _ := RewireSharded(g.N(), nil, cands, ShardedRewireOptions{
 			TargetClustering: target,
 			RC:               10,
-			Rand:             r,
+			Seed1:            r.Uint64(),
+			Seed2:            r.Uint64(),
 			ForbidDegenerate: true,
 		})
 		return out.CountMultiEdges() <= before

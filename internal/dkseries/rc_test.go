@@ -59,16 +59,17 @@ func TestAttemptBudget(t *testing.T) {
 	mustPanic(t, "int overflow", func() { AttemptBudget(MaxRC, math.MaxInt/100) })
 }
 
-// TestEnginesRefuseBadRC: both engines panic on an invalid RC rather than
-// run a silently empty rewiring — with candidates or without.
+// TestEnginesRefuseBadRC: RewireSharded panics on an invalid RC rather
+// than run a silently empty rewiring — with candidates or without — and
+// DK25 reports it as an error.
 func TestEnginesRefuseBadRC(t *testing.T) {
 	g := gen.HolmeKim(60, 2, 0.5, rng(40))
 	target := DegreeClustering(g)
 	for _, tc := range badRCs {
-		mustPanic(t, "Rewire "+tc.name, func() {
-			Rewire(g.N(), nil, g.Edges(), RewireOptions{TargetClustering: target, RC: tc.rc, Rand: rng(41)})
-		})
 		mustPanic(t, "RewireSharded "+tc.name, func() {
+			RewireSharded(g.N(), nil, g.Edges(), ShardedRewireOptions{TargetClustering: target, RC: tc.rc, Workers: 1})
+		})
+		mustPanic(t, "RewireSharded no candidates "+tc.name, func() {
 			RewireSharded(g.N(), g.Edges(), nil, ShardedRewireOptions{TargetClustering: target, RC: tc.rc, Workers: 1})
 		})
 		if _, _, err := DK25(g, tc.rc, rng(42)); err == nil || !strings.Contains(err.Error(), "rc") {

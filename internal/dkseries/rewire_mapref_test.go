@@ -3,9 +3,9 @@ package dkseries
 // This file freezes the original []map[int]int-based rewiring engine as a
 // reference implementation. It exists only for tests: the differential
 // guard (TestRewireDifferentialAdjsetVsMap) checks that the flat adjset
-// engine in rewire.go reproduces it byte-for-byte on randomized inputs,
-// and BenchmarkRewire/mapref keeps its cost as the recorded baseline in
-// BENCH_rewire.json. Do not "optimize" this file.
+// loop in rewire_serialref_test.go reproduces it byte-for-byte on
+// randomized inputs, and BenchmarkRewire/mapref keeps its cost as the
+// recorded baseline in BENCH_rewire.json. Do not "optimize" this file.
 
 import (
 	"math/rand/v2"
@@ -14,8 +14,8 @@ import (
 	"sgr/internal/graph"
 )
 
-// rewireMapRef is the map-based twin of Rewire.
-func rewireMapRef(n int, fixed []graph.Edge, candidates []graph.Edge, opts RewireOptions) (*graph.Graph, RewireStats) {
+// rewireMapRef is the map-based twin of rewireSerialRef.
+func rewireMapRef(n int, fixed []graph.Edge, candidates []graph.Edge, opts rewireOptions) (*graph.Graph, RewireStats) {
 	st := newMapRewireState(n, fixed, candidates, opts.TargetClustering)
 	stats := RewireStats{InitialL1: st.distance()}
 	if len(candidates) > 0 && st.normC > 0 {
@@ -276,7 +276,7 @@ func (st *mapRewireState) removeEdge(u, v int) {
 }
 
 // settleDirty matches the adjset engine's sorted settle order (see
-// rewire.go): with map iteration the dirty list order is random, and the
+// rewire_serialref_test.go): with map iteration the dirty list order is random, and the
 // float accumulation into sum is order-sensitive, so sorting is what makes
 // an exact differential comparison possible at all.
 func (st *mapRewireState) settleDirty() {

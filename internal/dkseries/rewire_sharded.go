@@ -5,36 +5,35 @@ import (
 	"math/rand/v2"
 	"slices"
 
-	"sgr/internal/adjset"
 	"sgr/internal/graph"
 	"sgr/internal/obs"
 	"sgr/internal/parallel"
 	"sgr/internal/sampling"
 )
 
-// This file implements the sharded, parallel variant of Algorithm 6. The
-// serial engine in rewire.go mutates the adjacency on every attempt and
+// This file implements Algorithm 6 as deterministic parallel rounds.
+// Algorithm 6 as written mutates the adjacency on every attempt and
 // reverts on rejection — correct, but inherently sequential and twice as
-// expensive as necessary on the ~97% of attempts that are rejected. The
-// sharded engine restructures the loop into deterministic rounds:
+// expensive as necessary on the ~97% of attempts that are rejected (that
+// serial loop survives as the test reference in rewire_serialref_test.go).
+// RewireSharded restructures the loop into rounds:
 //
 //  1. Propose (parallel, read-only). The candidate half-edge space is
 //     partitioned by degree bucket into a fixed number of shards. Each
 //     shard draws a quota of swap proposals from its own PCG sub-stream
 //     (sampling.SubStream) and evaluates the exact triangle-count delta
 //     of each proposal against the round-start adjacency without
-//     mutating it. The four scans of the serial engine fuse into one
+//     mutating it. The four scans of the serial loop fuse into one
 //     sweep: for any node w outside the swap's endpoint set, the net
 //     delta of remove(i,j), remove(a,b), add(i,b), add(a,j) factors as
 //
 //         delta_w = (A_iw - A_aw) * (A_bw - A_jw)
 //
-//     so a single ordered intersection of the unions N(i)|N(a) and
-//     N(b)|N(j) over the sorted neighbor rows (sortedRows) yields every
-//     delta, while the handful of endpoint-internal contributions go
-//     through a 4x4 overlay matrix that replays the serial op order
-//     exactly. Shards write disjoint buffers, so any number of workers
-//     may execute them.
+//     so one mark-and-probe pass over the four neighbor rows (sortedRows)
+//     yields every delta, while the handful of endpoint-internal
+//     contributions go through a 4x4 overlay matrix that replays the
+//     serial op order exactly. Shards write disjoint buffers, so any
+//     number of workers may execute them.
 //  2. Commit (serial, fixed order). Proposals are applied in a fixed
 //     interleaved shard order. A proposal whose four endpoints are
 //     untouched by earlier commits of the same round reuses its
@@ -45,15 +44,15 @@ import (
 //     nothing.
 //
 // Because shard decomposition, sub-stream seeding, quota allocation and
-// commit order are all functions of (input, Seed1, Seed2, Shards,
-// RoundSize) — never of scheduling — the output graph, the final
+// commit order are all functions of (input, Seed1, Seed2, shard count,
+// round size) — never of scheduling — the output graph, the final
 // candidate endpoints and every RewireStats field are byte-identical at
 // any Workers value, including 1. Workers is a wall-clock knob only.
 //
-// What DOES change the bytes: Seed1/Seed2 (by design), Shards and
-// RoundSize (they define the proposal sequence). Their defaults are
-// therefore part of the determinism contract and as frozen as the
-// serial engine's accept rule.
+// What DOES change the bytes: Seed1/Seed2 (by design), the shard count
+// and the round size (they define the proposal sequence). Both are fixed
+// constants, DefaultRewireShards and DefaultRewireRoundSize, and as
+// frozen as the accept rule.
 
 // DefaultRewireShards is the default shard count of RewireSharded: the
 // number of independent proposal streams the degree-bucket space is
@@ -82,7 +81,8 @@ type ShardedRewireOptions struct {
 	// sampling.SubStream(Seed1, Seed2, shard). They select the result.
 	Seed1, Seed2 uint64
 	// ForbidDegenerate rejects swaps that would create a self-loop or a
-	// parallel edge (same semantics as RewireOptions.ForbidDegenerate).
+	// parallel edge, steering the output toward a simple graph (a 2K+
+	// style extension; the paper's model permits both).
 	ForbidDegenerate bool
 	// Workers bounds how many shards evaluate concurrently during the
 	// propose phase. <= 0 selects parallel.DefaultWorkers. Workers never
@@ -106,41 +106,33 @@ type ShardedRewireOptions struct {
 	// can abort an output, never alter one.
 	Ctx context.Context
 
-	// forceMergeEval pins the evaluator to the merge walk regardless of
-	// graph size. Test hook: the two evaluators must produce identical
-	// bytes, and this is how the equivalence test forces the slow one.
-	forceMergeEval bool
-	// Shards overrides DefaultRewireShards (<= 0 selects the default).
-	// Part of the output contract.
-	Shards int
-	// RoundSize overrides DefaultRewireRoundSize (<= 0 selects the
-	// default). Part of the output contract.
-	RoundSize int
+	// shards and roundSize, when positive, override DefaultRewireShards
+	// and DefaultRewireRoundSize. Test hooks: both key the trajectory, and
+	// the shape-invariance test needs a second shape to show it.
+	shards, roundSize int
 }
 
-func (o ShardedRewireOptions) shards() int {
-	if o.Shards <= 0 {
-		return DefaultRewireShards
+// orDefault returns v, or def when v is not positive.
+func orDefault(v, def int) int {
+	if v <= 0 {
+		return def
 	}
-	return o.Shards
+	return v
 }
 
-func (o ShardedRewireOptions) roundSize() int {
-	if o.RoundSize <= 0 {
-		return DefaultRewireRoundSize
-	}
-	return o.RoundSize
-}
-
-// RewireSharded runs Algorithm-6 rewiring with sharded parallel proposal
-// evaluation. Inputs and outputs mirror Rewire: fixed edges are never
-// touched, candidates is mutated in place to its final endpoints, and the
-// returned graph realizes the same degree vector and joint degree matrix
-// as fixed+candidates. The result is a deterministic function of the
-// inputs and (Seed1, Seed2, Shards, RoundSize) — identical at any worker
-// count — but it is a different (equally valid) rewiring trajectory than
-// the serial engine's for any seed: the two engines share state and
-// accept semantics, not proposal sequences.
+// RewireSharded implements Algorithm 6: given a graph expressed as fixed
+// edges (the sampled subgraph E', never touched) plus candidate edges (the
+// added edges, E-tilde \ E'), it repeatedly pairs two candidate edges whose
+// chosen endpoints have equal degree and swaps their partners iff the
+// normalized L1 distance between the present and target degree-dependent
+// clustering coefficients strictly decreases. Degrees, the degree vector
+// and the joint degree matrix are all invariant. Gjoka et al.'s variant
+// passes every edge as a candidate.
+//
+// n is the node count; candidates is mutated in place (final endpoints).
+// The returned graph is assembled from fixed plus the rewired candidates.
+// The result is a deterministic function of the inputs and (Seed1, Seed2)
+// — identical at any worker count (see the file comment).
 func RewireSharded(n int, fixed []graph.Edge, candidates []graph.Edge, opts ShardedRewireOptions) (*graph.Graph, RewireStats) {
 	total := AttemptBudget(opts.RC, len(candidates))
 	st, rows := newShardedState(n, fixed, candidates, opts.TargetClustering)
@@ -162,8 +154,8 @@ func RewireSharded(n int, fixed []graph.Edge, candidates []graph.Edge, opts Shar
 
 // sortedRows is the rewiring adjacency as per-node sorted neighbor rows
 // with parallel multiplicity and neighbor-degree arrays, all carved from
-// flat arenas. The propose phase reads it concurrently (merge and gallop
-// intersections instead of hash probes); only commit-phase accepts mutate
+// flat arenas. The propose phase reads it concurrently (linear row scans
+// and sorted-row probes, no hashing); only commit-phase accepts mutate
 // it — a few ordered memmoves per accepted swap. Node degrees are
 // rewiring invariants, so the dg array never goes stale. Row capacity is
 // deg[u]: a node's distinct-neighbor count can never exceed its degree.
@@ -173,84 +165,14 @@ type sortedRows struct {
 	nbr []int32 // sorted neighbor IDs
 	cnt []int32 // multiplicities, parallel to nbr
 	dg  []int32 // neighbor degrees, parallel to nbr
-
-	// sig holds a sigWords-word Bloom signature of each row's neighbor
-	// set (one hashed bit per neighbor, from hw/hm). A clear bit proves
-	// absence; set bits prove nothing — exactly the one-sided error the
-	// emptyEval fast-reject filter needs. Signatures are a pure
-	// performance cache: they influence which proposals skip the sweep,
-	// never what any proposal evaluates to.
-	sig []uint64
-	hw  []uint8  // node -> signature word index of its hashed bit
-	hm  []uint64 // node -> signature bit mask
 }
 
-// sigWords is the per-row signature width: 8 words = 512 bits = one cache
-// line per node.
-const sigWords = 8
-
-// initSig sizes the signature arrays and precomputes each node's hashed
-// bit (SplitMix64 finalizer — one multiplicative hash is plenty for a
-// one-bit-per-member filter).
-func (sr *sortedRows) initSig(n int) {
-	sr.sig = make([]uint64, n*sigWords)
-	sr.hw = make([]uint8, n)
-	sr.hm = make([]uint64, n)
-	for u := 0; u < n; u++ {
-		h := (uint64(u) + 0x9e3779b97f4a7c15) * 0xbf58476d1ce4e5b9
-		h ^= h >> 29
-		sr.hw[u] = uint8((h >> 6) % sigWords)
-		sr.hm[u] = 1 << (h & 63)
-	}
-}
-
-// rebuildSig recomputes node u's signature from its current row.
-func (sr *sortedRows) rebuildSig(u int32) {
-	base := int(u) * sigWords
-	for t := 0; t < sigWords; t++ {
-		sr.sig[base+t] = 0
-	}
-	o, l := sr.off[u], int(sr.ln[u])
-	for _, w := range sr.nbr[o : o+l] {
-		sr.sig[base+int(sr.hw[w])] |= sr.hm[w]
-	}
-}
-
-// emptyEval reports whether the swap (i,j)+(a,b) -> (i,b)+(a,j) provably
-// produces an empty delta set, i.e. is a guaranteed rejection, without
-// walking any row. That holds when (1) the unions N(i)|N(a) and N(b)|N(j)
-// share no node — no sweep term — and (2) none of the four cross pairs
-// (i,a), (i,b), (j,a), (j,b) is adjacent — every endpoint-matrix product
-// then contains a zero factor (the always-adjacent pairs (i,j) and (a,b)
-// only ever multiply a cross pair). Both facts are established through
-// clear signature bits, so a true result is exact; a false result merely
-// falls through to the full evaluation. Degenerate proposals (shared or
-// self-looped endpoints) put one row on both sides and fail the
-// signature test on their own overlap, so they are never fast-rejected.
-func (sr *sortedRows) emptyEval(i, j, a, b int32) bool {
-	si := sr.sig[int(i)*sigWords:]
-	sa := sr.sig[int(a)*sigWords:]
-	sb := sr.sig[int(b)*sigWords:]
-	sj := sr.sig[int(j)*sigWords:]
-	var and uint64
-	for t := 0; t < sigWords; t++ {
-		and |= (si[t] | sa[t]) & (sb[t] | sj[t])
-	}
-	if and != 0 {
-		return false
-	}
-	return si[sr.hw[a]]&sr.hm[a] == 0 && si[sr.hw[b]]&sr.hm[b] == 0 &&
-		sj[sr.hw[a]]&sr.hm[a] == 0 && sj[sr.hw[b]]&sr.hm[b] == 0
-}
-
-// newShardedState builds the rewiring state for the sharded engine
-// directly from the edge lists: sorted neighbor rows instead of the
-// serial engine's hash-based adjset (st.adj stays nil — nothing in the
-// sharded path touches it), and triangle counts via ordered row
-// intersections instead of per-pair hash probes. The resulting state is
-// value-identical to newRewireState on the same input (triangle counts
-// are exact integers, and term/sum use the same expressions in the same
-// accumulation order), which TestShardedStateMatchesSerial pins.
+// newShardedState builds the rewiring state directly from the edge lists:
+// sorted neighbor rows, and triangle counts by mark-and-probe over them.
+// The result is value-identical to the serial reference's hash-based
+// construction on the same input (triangle counts are exact integers, and
+// term/sum use the same expressions in the same accumulation order),
+// which TestShardedStateMatchesSerial pins.
 func newShardedState(n int, fixed, candidates []graph.Edge, target map[int]float64) (*rewireState, *sortedRows) {
 	st := &rewireState{
 		deg: make([]int, n),
@@ -319,10 +241,6 @@ func newShardedState(n int, fixed, candidates []graph.Edge, target map[int]float
 			sr.dg[o+x] = int32(st.deg[row[x]])
 		}
 	}
-	sr.initSig(n)
-	for u := 0; u < n; u++ {
-		sr.rebuildSig(int32(u))
-	}
 
 	kmax := 0
 	for _, d := range st.deg {
@@ -339,10 +257,12 @@ func newShardedState(n int, fixed, candidates []graph.Edge, target map[int]float
 	st.sumT = make([]int64, kmax+1)
 	st.tgt = make([]float64, kmax+1)
 	st.term = make([]float64, kmax+1)
-	st.inDirty = make([]bool, kmax+1)
 	for _, d := range st.deg {
 		st.nk[d]++
 	}
+	// Accumulate normC in ascending degree order: float addition is not
+	// associative, and map range order would make the normalization — and
+	// the reported L1 distances — vary between runs in the last bits.
 	for k, c := range target {
 		st.tgt[k] = c
 	}
@@ -352,10 +272,9 @@ func newShardedState(n int, fixed, candidates []graph.Edge, target map[int]float
 
 	// Triangle counts by mark-and-probe: every adjacent pair u < v
 	// contributes A_uv * A_uw * A_vw to t[w] for each common neighbor w —
-	// exactly the unordered neighbor-pair sum the serial init computes.
+	// exactly t[w]'s sum over unordered pairs of w's distinct neighbors.
 	// Row u's multiplicities are stamped into a dense array once, then
-	// each higher-numbered neighbor row is probed against the stamps; the
-	// integer sums commute, so t is value-identical to the serial init.
+	// each higher-numbered neighbor row is probed against the stamps.
 	mark := make([]int64, n)
 	for u := 0; u < n; u++ {
 		ou, lu := sr.off[u], int(sr.ln[u])
@@ -399,55 +318,6 @@ func newShardedState(n int, fixed, candidates []graph.Edge, target map[int]float
 		st.placeHalf(halfRef{i, 1}, st.deg[e.V])
 	}
 	return st, sr
-}
-
-// buildRows constructs the sorted mirror of an existing serial state's
-// adjset adjacency. The engine itself uses newShardedState; this is the
-// bridge the white-box differential tests use to run the read-only
-// evaluator against a state the serial mutate path owns.
-func buildRows(st *rewireState) *sortedRows {
-	n := len(st.deg)
-	sr := &sortedRows{off: make([]int, n+1), ln: make([]int32, n)}
-	total := 0
-	for u, d := range st.deg {
-		sr.off[u] = total
-		total += d
-	}
-	sr.off[n] = total
-	sr.nbr = make([]int32, total)
-	sr.cnt = make([]int32, total)
-	sr.dg = make([]int32, total)
-	for u := 0; u < n; u++ {
-		keys, counts := st.adj.Row(u)
-		o := sr.off[u]
-		w := o
-		for i, k := range keys {
-			if k == adjset.Empty {
-				continue
-			}
-			sr.nbr[w] = k
-			sr.cnt[w] = counts[i]
-			w++
-		}
-		sr.ln[u] = int32(w - o)
-		row := sr.nbr[o:w]
-		// Keep nbr/cnt aligned while sorting: insertion sort, rows are
-		// small and nearly always fit in cache.
-		for x := 1; x < len(row); x++ {
-			for y := x; y > 0 && row[y] < row[y-1]; y-- {
-				row[y], row[y-1] = row[y-1], row[y]
-				sr.cnt[o+y], sr.cnt[o+y-1] = sr.cnt[o+y-1], sr.cnt[o+y]
-			}
-		}
-		for x := o; x < w; x++ {
-			sr.dg[x] = int32(st.deg[sr.nbr[x]])
-		}
-	}
-	sr.initSig(n)
-	for u := 0; u < n; u++ {
-		sr.rebuildSig(int32(u))
-	}
-	return sr
 }
 
 // get returns the multiplicity of {u,w}: a forward scan with early exit
@@ -512,7 +382,6 @@ func (sr *sortedRows) inc(u, w int32, degW int) {
 	sr.cnt[at] = 1
 	sr.dg[at] = int32(degW)
 	sr.ln[u]++
-	sr.sig[int(u)*sigWords+int(sr.hw[w])] |= sr.hm[w]
 }
 
 // dec removes one {u,w} instance from u's row.
@@ -527,7 +396,6 @@ func (sr *sortedRows) dec(u, w int32) {
 	copy(sr.cnt[at:end-1], sr.cnt[at+1:end])
 	copy(sr.dg[at:end-1], sr.dg[at+1:end])
 	sr.ln[u]--
-	sr.rebuildSig(u)
 }
 
 // tDelta is one node's triangle-count delta under a proposed swap.
@@ -560,21 +428,14 @@ type proposal struct {
 	k0, k1     int32
 }
 
-// denseEvalMaxN bounds the graph size for which the dense mark-and-probe
-// evaluator is used: its per-scratch mark arrays cost 12 bytes per node.
-// Larger graphs fall back to the four-pointer merge walk, which needs no
-// per-node scratch. Both evaluators emit the identical delta set, so the
-// cutover never changes result bytes — it is a time/space trade only.
-const denseEvalMaxN = 1 << 15
-
-// uline is one U-side intersection hit of the dense evaluator: node w
-// with its multiplicities in the rows of i and a.
+// uline is one U-side intersection hit of the evaluator: node w with its
+// multiplicities in the rows of i and a.
 type uline struct {
 	w      int32
 	iw, aw int32
 }
 
-// vmark is the dense evaluator's per-node V-side mark: the stamp says
+// vmark is the evaluator's per-node V-side mark: the stamp says
 // whether the entry belongs to the current evaluation, b/j are the node's
 // multiplicities in the rows of b and j. One struct keeps the three
 // fields on one cache line — the mark array is hit at random indices.
@@ -583,29 +444,31 @@ type vmark struct {
 	b, j  int32
 }
 
-// evalScratch is the reusable buffer set of one evaluation stream — one
-// per shard plus one for commit-phase re-evaluations.
+// markSet is the evaluator's per-node mark array — one entry per node,
+// epoch-stamped so no clearing is needed between evaluations — plus the
+// list collecting U-side hits. At 12 bytes per node it is the engine's
+// only O(n) evaluation scratch, so sets are pooled per concurrently
+// running evaluation, not kept per shard.
+type markSet struct {
+	vm    []vmark
+	epoch uint32
+	ul    []uline
+}
+
+// evalScratch is the reusable delta buffer set of one evaluation stream —
+// one per shard plus one for commit-phase re-evaluations. Its touch/kd
+// spans outlive the propose phase (commit reads them), so unlike the
+// marks they cannot be pooled.
 type evalScratch struct {
 	ds    []int64 // per-degree accumulator, always zero between proposals
 	inD   []bool
 	dirty []int32
 	touch []tDelta // per-node deltas, consumed only on accept
 	kd    []kDelta // per-degree deltas sorted by degree, drive the accept test
-
-	// Dense-evaluator mark array (nil beyond denseEvalMaxN): one entry
-	// per node, epoch-stamped so no clearing is needed between
-	// proposals; ul collects U-side hits.
-	vm    []vmark
-	epoch uint32
-	ul    []uline
 }
 
-func newEvalScratch(kmax, n int) *evalScratch {
-	sc := &evalScratch{ds: make([]int64, kmax+1), inD: make([]bool, kmax+1)}
-	if n <= denseEvalMaxN {
-		sc.vm = make([]vmark, n)
-	}
-	return sc
+func newEvalScratch(kmax int) *evalScratch {
+	return &evalScratch{ds: make([]int64, kmax+1), inD: make([]bool, kmax+1)}
 }
 
 // shardedRun is the engine state of one RewireSharded call on top of the
@@ -618,11 +481,15 @@ type shardedRun struct {
 	shards    int
 	roundSize int
 
-	round      uint32          // current round number; stamps refer to it
-	forceMerge bool            // test hook, see ShardedRewireOptions.forceMergeEval
-	ctx        context.Context // round-boundary cancellation; nil = never
-	rngs       []*rand.Rand
-	degsOf     [][]int32 // shard -> degree values it owns
+	round  uint32          // current round number; stamps refer to it
+	ctx    context.Context // round-boundary cancellation; nil = never
+	rngs   []*rand.Rand
+	degsOf [][]int32 // shard -> degree values it owns
+
+	// marks pools min(workers, shards) mark sets — one per evaluation
+	// that can run at once. A shard job borrows one for its job, the
+	// commit phase one for its round.
+	marks chan *markSet
 
 	// Per-shard propose-phase outputs, reused across rounds. Only shard
 	// s's job writes index s, so the propose phase is race-free.
@@ -647,16 +514,15 @@ type shardedRun struct {
 
 func newShardedRun(st *rewireState, rows *sortedRows, opts ShardedRewireOptions) *shardedRun {
 	r := &shardedRun{
-		st:         st,
-		rows:       rows,
-		forceMerge: opts.forceMergeEval,
-		ctx:        opts.Ctx,
-		forbid:     opts.ForbidDegenerate,
-		workers:    opts.Workers,
-		shards:     opts.shards(),
-		roundSize:  opts.roundSize(),
-		proposeTm:  opts.Trace.Timer("rewire/propose"),
-		commitTm:   opts.Trace.Timer("rewire/commit"),
+		st:        st,
+		rows:      rows,
+		ctx:       opts.Ctx,
+		forbid:    opts.ForbidDegenerate,
+		workers:   opts.Workers,
+		shards:    orDefault(opts.shards, DefaultRewireShards),
+		roundSize: orDefault(opts.roundSize, DefaultRewireRoundSize),
+		proposeTm: opts.Trace.Timer("rewire/propose"),
+		commitTm:  opts.Trace.Timer("rewire/commit"),
 	}
 	kmax := len(st.buckets) - 1
 	// Assign degree buckets to shards by greedy longest-processing-time
@@ -695,14 +561,20 @@ func newShardedRun(st *rewireState, rows *sortedRows, opts ShardedRewireOptions)
 	r.scratch = make([]*evalScratch, r.shards)
 	for s := range r.rngs {
 		r.rngs[s] = sampling.SubStream(opts.Seed1, opts.Seed2, uint64(s))
-		r.scratch[s] = newEvalScratch(kmax, len(st.deg))
+		r.scratch[s] = newEvalScratch(kmax)
+	}
+	// parallel.ForEach runs at most min(workers, shards) jobs at once, so
+	// a borrow never waits.
+	r.marks = make(chan *markSet, min(orDefault(r.workers, parallel.DefaultWorkers()), r.shards))
+	for range cap(r.marks) {
+		r.marks <- &markSet{vm: make([]vmark, len(st.deg))}
 	}
 	r.props = make([][]proposal, r.shards)
 	r.cumK = make([][]int32, r.shards)
 	r.cumH = make([][]int32, r.shards)
 	r.stamp = make([]uint32, len(st.deg))
 	r.estamp = make([]uint32, len(st.ends))
-	r.csc = newEvalScratch(kmax, len(st.deg))
+	r.csc = newEvalScratch(kmax)
 	r.hs = make([]int, r.shards)
 	r.quotas = make([]int, r.shards)
 	r.remOrder = make([]int, r.shards)
@@ -825,12 +697,13 @@ func (r *shardedRun) shardJob(s, quota int) {
 		}
 	}
 	r.cumK[s], r.cumH[s] = cumK, cumH
+	ms := <-r.marks
 	for q := 0; q < quota; q++ {
 		var p proposal
 		if h > 0 {
 			// First half uniform over the shard's pairable halves, second
 			// uniform over the first's bucket — the same two-draw shape as
-			// the serial engine, restricted to pairable buckets.
+			// the serial loop, restricted to pairable buckets.
 			x := int32(rng.IntN(int(h)))
 			lo := 0 // first cumH[lo] > x; shards own a handful of buckets
 			for cumH[lo] <= x {
@@ -844,17 +717,18 @@ func (r *shardedRun) shardJob(s, quota int) {
 			h1 := b[x-base]
 			h2 := b[rng.IntN(len(b))]
 			p = proposal{e1: int32(h1.edge), s1: uint8(h1.side), e2: int32(h2.edge), s2: uint8(h2.side)}
-			r.evalProposal(&p, sc)
+			r.evalProposal(&p, sc, ms)
 		}
 		props = append(props, p)
 	}
+	r.marks <- ms
 	r.props[s] = props
 }
 
-// evalProposal applies the serial engine's pre-checks and, if they pass,
+// evalProposal applies the serial loop's pre-checks and, if they pass,
 // computes the proposal's exact delta against the round-start state.
 // Read-only on shared state.
-func (r *shardedRun) evalProposal(p *proposal, sc *evalScratch) {
+func (r *shardedRun) evalProposal(p *proposal, sc *evalScratch, ms *markSet) {
 	st := r.st
 	if p.e1 == p.e2 {
 		return
@@ -871,9 +745,7 @@ func (r *shardedRun) evalProposal(p *proposal, sc *evalScratch) {
 		return
 	}
 	p.t0, p.k0 = int32(len(sc.touch)), int32(len(sc.kd))
-	if !r.rows.emptyEval(int32(i), int32(j), int32(a), int32(b)) {
-		r.evalSwap(sc, int32(i), int32(j), int32(a), int32(b))
-	}
+	r.evalSwap(sc, ms, int32(i), int32(j), int32(a), int32(b))
 	p.t1, p.k1 = int32(len(sc.touch)), int32(len(sc.kd))
 	p.flags = propEvaluated
 }
@@ -882,6 +754,7 @@ func (r *shardedRun) evalProposal(p *proposal, sc *evalScratch) {
 // shards position-by-position — a fixed order, so the result does not
 // depend on how the propose phase was scheduled.
 func (r *shardedRun) commitRound(stats *RewireStats) {
+	ms := <-r.marks
 	maxq := 0
 	for _, q := range r.quotas {
 		if q > maxq {
@@ -891,10 +764,11 @@ func (r *shardedRun) commitRound(stats *RewireStats) {
 	for pi := 0; pi < maxq; pi++ {
 		for s := 0; s < r.shards; s++ {
 			if pi < r.quotas[s] {
-				r.commitOne(s, pi, stats)
+				r.commitOne(s, pi, ms, stats)
 			}
 		}
 	}
+	r.marks <- ms
 }
 
 // commitOne re-validates one proposal against the live state and applies
@@ -902,7 +776,7 @@ func (r *shardedRun) commitRound(stats *RewireStats) {
 // is reused when no earlier commit of this round touched any of the four
 // endpoints (it is then still exact); otherwise the swap is re-evaluated
 // in place — the only serial evaluation work in the engine.
-func (r *shardedRun) commitOne(s, pi int, stats *RewireStats) {
+func (r *shardedRun) commitOne(s, pi int, ms *markSet, stats *RewireStats) {
 	st := r.st
 	p := &r.props[s][pi]
 	stats.Attempts++
@@ -912,8 +786,6 @@ func (r *shardedRun) commitOne(s, pi int, stats *RewireStats) {
 		return
 	}
 	var i, j, a, b int
-	var touch []tDelta
-	var kd []kDelta
 	if r.estamp[p.e1] != r.round && r.estamp[p.e2] != r.round {
 		// Neither edge was re-pointed this round, so the endpoints still
 		// match the propose-phase snapshot and every pre-check verdict
@@ -926,9 +798,7 @@ func (r *shardedRun) commitOne(s, pi int, stats *RewireStats) {
 			// No endpoint's adjacency changed either: the precomputed
 			// delta (and any forbid verdict) is still exact.
 			sc := r.scratch[s]
-			touch = sc.touch[p.t0:p.t1]
-			kd = sc.kd[p.k0:p.k1]
-			r.resolve(p, i, j, a, b, touch, kd, stats)
+			r.resolve(p, i, j, a, b, sc.touch[p.t0:p.t1], sc.kd[p.k0:p.k1], stats)
 			return
 		}
 	} else {
@@ -952,19 +822,15 @@ func (r *shardedRun) commitOne(s, pi int, stats *RewireStats) {
 	sc := r.csc
 	sc.touch = sc.touch[:0]
 	sc.kd = sc.kd[:0]
-	if !r.rows.emptyEval(int32(i), int32(j), int32(a), int32(b)) {
-		r.evalSwap(sc, int32(i), int32(j), int32(a), int32(b))
-	}
-	touch = sc.touch
-	kd = sc.kd
-	r.resolve(p, i, j, a, b, touch, kd, stats)
+	r.evalSwap(sc, ms, int32(i), int32(j), int32(a), int32(b))
+	r.resolve(p, i, j, a, b, sc.touch, sc.kd, stats)
 }
 
 // resolve runs the accept test for a validated proposal and applies the
 // swap when the clustering distance strictly decreases.
 func (r *shardedRun) resolve(p *proposal, i, j, a, b int, touch []tDelta, kd []kDelta, stats *RewireStats) {
 	st := r.st
-	// The accept test: replay the serial engine's settle — term deltas
+	// The accept test: replay the serial loop's settle — term deltas
 	// accumulated in ascending degree order (kd is sorted) so the float
 	// sum has one fixed order.
 	newSum := st.sum
@@ -1032,18 +898,17 @@ func (sc *evalScratch) add(w, k int32, d int64) {
 //
 // For nodes outside the endpoint set {i,j,a,b} the four serial ops net to
 // delta_w = (A_iw - A_aw)*(A_bw - A_jw), with the per-op common-neighbor
-// sums cn1..cn4 recovered from the same products, so one ordered sweep of
-// the four rows replaces the serial engine's four scans (fuseWalk; a
-// gallop variant handles hub-lopsided row sets). The overlay corrections
-// of half-applied ops only ever concern endpoint pairs, which the sweep
-// skips; those go through a 4x4 matrix replaying the exact serial op
-// order: remove(i,j), remove(a,b), add(i,b), add(a,j), each removal
-// decrementing before its scan, each addition scanning before its
-// increment.
+// sums cn1..cn4 recovered from the same products, so one sweep of the
+// four rows (denseWalk, marking in ms) replaces the serial loop's four
+// scans. The overlay corrections of half-applied ops only ever concern
+// endpoint pairs, which the sweep skips; those go through a 4x4 matrix
+// replaying the exact serial op order: remove(i,j), remove(a,b),
+// add(i,b), add(a,j), each removal decrementing before its scan, each
+// addition scanning before its increment.
 //
 // kd comes out sorted by degree with exact-zero deltas omitted; touch may
 // repeat a node (entries sum).
-func (r *shardedRun) evalSwap(sc *evalScratch, i, j, a, b int32) {
+func (r *shardedRun) evalSwap(sc *evalScratch, ms *markSet, i, j, a, b int32) {
 	var nodes [4]int32
 	nn := 0
 	idx := func(x int32) int {
@@ -1062,24 +927,10 @@ func (r *shardedRun) evalSwap(sc *evalScratch, i, j, a, b int32) {
 	bi := idx(b)
 
 	op1, op2, op3, op4 := i != j, a != b, i != b, a != j
-	// mat holds the endpoint-pair adjacencies plus the overlay of
-	// half-applied ops; the dense walk captures the pair values during
-	// its row scans, the merge walk cannot see them (an endpoint on one
-	// side only never aligns) and probes the rows instead.
+	// mat holds the endpoint-pair adjacencies, which the walk captures
+	// during its row scans, plus the overlay of half-applied ops.
 	var mat [4][4]int64
-	var cn1, cn2, cn3, cn4 int64
-	if sc.vm != nil && !r.forceMerge {
-		cn1, cn2, cn3, cn4 = r.denseWalk(sc, i, j, a, b, nodes, nn, op1, op2, op3, op4, &mat, ii, ji, ai, bi)
-	} else {
-		cn1, cn2, cn3, cn4 = r.fuseWalk(sc, i, j, a, b, nodes, nn, op1, op2, op3, op4)
-		for x := 1; x < nn; x++ {
-			for y := 0; y < x; y++ {
-				m := int64(r.rows.get(nodes[x], nodes[y]))
-				mat[x][y] = m
-				mat[y][x] = m
-			}
-		}
-	}
+	cn1, cn2, cn3, cn4 := r.denseWalk(sc, ms, i, j, a, b, nodes, nn, op1, op2, op3, op4, &mat, ii, ji, ai, bi)
 	deg := r.st.deg
 	if nn == 4 && mat[ii][ai]|mat[ii][bi]|mat[ai][ji]|mat[ji][bi] == 0 {
 		// No cross pair (i,a), (i,b), (a,j), (j,b) is adjacent, so every
@@ -1172,179 +1023,25 @@ func (sc *evalScratch) drain() {
 	sc.dirty = sc.dirty[:0]
 }
 
-const walkEnd = int32(0x7fffffff)
-
-// fuseWalk performs the fused sweep: it intersects the merged unions
-// N(i)|N(a) and N(b)|N(j), and for every aligned non-endpoint node w
-// emits delta_w and accumulates the four per-op common-neighbor sums.
-// Rows are short (mean distinct degree of the workload), so a plain
-// four-pointer merge beats galloping; proposals whose row sets provably
-// cannot intersect never reach this walk at all — the signature filter
-// in evalProposal rejects them first.
-func (r *shardedRun) fuseWalk(sc *evalScratch, i, j, a, b int32, nodes [4]int32, nn int, op1, op2, op3, op4 bool) (cn1, cn2, cn3, cn4 int64) {
+// denseWalk is the mark-and-probe sweep: it intersects the unions
+// N(i)|N(a) and N(b)|N(j) by marking the V-side rows (N(b), N(j)) in the
+// epoch-stamped per-node mark array and probing the marks while scanning
+// the U-side rows (N(i), N(a)) — four short linear scans with one
+// L1-resident random access each. For every hit w outside the endpoint
+// set it emits delta_w and accumulates the four per-op common-neighbor
+// sums. The scans also capture the six endpoint-pair adjacencies as they
+// stream by, filling mat for free (aliased endpoints leave their diagonal
+// entries zero: a row never contains its own node). Deltas are integers,
+// so emission order never reaches the degree-sorted kd span.
+func (r *shardedRun) denseWalk(sc *evalScratch, ms *markSet, i, j, a, b int32, nodes [4]int32, nn int, op1, op2, op3, op4 bool, mat *[4][4]int64, ii, ji, ai, bi int) (cn1, cn2, cn3, cn4 int64) {
 	sr := r.rows
-	pi, ei := sr.off[i], sr.off[i]+int(sr.ln[i])
-	pa, ea := sr.off[a], sr.off[a]+int(sr.ln[a])
-	pb, eb := sr.off[b], sr.off[b]+int(sr.ln[b])
-	pj, ej := sr.off[j], sr.off[j]+int(sr.ln[j])
-	n0, n1, n2, n3 := nodes[0], int32(-1), int32(-1), int32(-1)
-	if nn > 1 {
-		n1 = nodes[1]
+	ms.epoch++
+	if ms.epoch == 0 {
+		clear(ms.vm)
+		ms.epoch = 1
 	}
-	if nn > 2 {
-		n2 = nodes[2]
-	}
-	if nn > 3 {
-		n3 = nodes[3]
-	}
-
-	wi, wa, wb, wj := walkEnd, walkEnd, walkEnd, walkEnd
-	if pi < ei {
-		wi = sr.nbr[pi]
-	}
-	if pa < ea {
-		wa = sr.nbr[pa]
-	}
-	if pb < eb {
-		wb = sr.nbr[pb]
-	}
-	if pj < ej {
-		wj = sr.nbr[pj]
-	}
-	for {
-		wu := wi
-		if wa < wu {
-			wu = wa
-		}
-		wv := wb
-		if wj < wv {
-			wv = wj
-		}
-		if wu == walkEnd || wv == walkEnd {
-			break
-		}
-		if wu < wv {
-			if wi == wu {
-				pi++
-				wi = walkEnd
-				if pi < ei {
-					wi = sr.nbr[pi]
-				}
-			}
-			if wa == wu {
-				pa++
-				wa = walkEnd
-				if pa < ea {
-					wa = sr.nbr[pa]
-				}
-			}
-			continue
-		}
-		if wv < wu {
-			if wb == wv {
-				pb++
-				wb = walkEnd
-				if pb < eb {
-					wb = sr.nbr[pb]
-				}
-			}
-			if wj == wv {
-				pj++
-				wj = walkEnd
-				if pj < ej {
-					wj = sr.nbr[pj]
-				}
-			}
-			continue
-		}
-		w := wu
-		var iw, aw, bw, jw int64
-		var k int32
-		if wi == w {
-			iw = int64(sr.cnt[pi])
-			k = sr.dg[pi]
-			pi++
-			wi = walkEnd
-			if pi < ei {
-				wi = sr.nbr[pi]
-			}
-		}
-		if wa == w {
-			aw = int64(sr.cnt[pa])
-			k = sr.dg[pa]
-			pa++
-			wa = walkEnd
-			if pa < ea {
-				wa = sr.nbr[pa]
-			}
-		}
-		if wb == w {
-			bw = int64(sr.cnt[pb])
-			k = sr.dg[pb]
-			pb++
-			wb = walkEnd
-			if pb < eb {
-				wb = sr.nbr[pb]
-			}
-		}
-		if wj == w {
-			jw = int64(sr.cnt[pj])
-			k = sr.dg[pj]
-			pj++
-			wj = walkEnd
-			if pj < ej {
-				wj = sr.nbr[pj]
-			}
-		}
-		if w == n0 || w == n1 || w == n2 || w == n3 {
-			continue
-		}
-		pij, pab, pib, paj := iw*jw, aw*bw, iw*bw, aw*jw
-		var d int64
-		if op1 {
-			cn1 += pij
-			d -= pij
-		}
-		if op2 {
-			cn2 += pab
-			d -= pab
-		}
-		if op3 {
-			cn3 += pib
-			d += pib
-		}
-		if op4 {
-			cn4 += paj
-			d += paj
-		}
-		if d != 0 {
-			sc.add(w, k, d)
-		}
-	}
-	return cn1, cn2, cn3, cn4
-}
-
-// denseWalk is the dense mark-and-probe evaluator: it computes the same
-// delta set as fuseWalk by marking the V-side rows (N(b), N(j)) in the
-// scratch's epoch-stamped per-node mark array and probing the marks while
-// scanning the U-side rows (N(i), N(a)). Four short linear scans with one
-// L1-resident random access each replace the merge's data-dependent
-// branching, and the scans capture the six endpoint-pair adjacencies as
-// they stream by, filling mat for free (aliased endpoints leave their
-// diagonal entries zero, matching the probe-based fill: a row never
-// contains its own node). Emission order differs from fuseWalk, but the
-// emitted multiset of (node, delta) pairs — and therefore the
-// degree-sorted kd span and every downstream byte — is identical: deltas
-// are integers and their accumulation is order-free.
-func (r *shardedRun) denseWalk(sc *evalScratch, i, j, a, b int32, nodes [4]int32, nn int, op1, op2, op3, op4 bool, mat *[4][4]int64, ii, ji, ai, bi int) (cn1, cn2, cn3, cn4 int64) {
-	sr := r.rows
-	sc.epoch++
-	if sc.epoch == 0 {
-		clear(sc.vm)
-		sc.epoch = 1
-	}
-	cur := sc.epoch
-	vm := sc.vm
+	cur := ms.epoch
+	vm := ms.vm
 	var aij, aia, aib, aaj, ajb, aab int64
 	o, l := sr.off[b], int(sr.ln[b])
 	for x := o; x < o+l; x++ {
@@ -1377,7 +1074,7 @@ func (r *shardedRun) denseWalk(sc *evalScratch, i, j, a, b int32, nodes [4]int32
 			aaj = int64(c)
 		}
 	}
-	ul := sc.ul[:0]
+	ul := ms.ul[:0]
 	o, l = sr.off[i], int(sr.ln[i])
 	for x := o; x < o+l; x++ {
 		w := sr.nbr[x]
@@ -1404,7 +1101,7 @@ func (r *shardedRun) denseWalk(sc *evalScratch, i, j, a, b int32, nodes [4]int32
 			}
 		}
 	}
-	sc.ul = ul
+	ms.ul = ul
 	set := func(x, y int, v int64) {
 		if x != y {
 			mat[x][y] = v

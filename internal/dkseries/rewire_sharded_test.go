@@ -89,9 +89,9 @@ func TestRewireShardedWorkerInvariance(t *testing.T) {
 }
 
 // TestRewireShardedShapeInvariance pins the other half of the contract:
-// Shards and RoundSize DO select the trajectory (they are part of the
-// output contract), while Workers never does — even for non-default
-// shard shapes.
+// the shard count and round size DO select the trajectory (they are part
+// of the output contract), while Workers never does — even for
+// non-default shard shapes.
 func TestRewireShardedShapeInvariance(t *testing.T) {
 	fixed, cands, target := shardedInput(3, 150)
 	n := nodeCount(fixed, cands)
@@ -103,8 +103,8 @@ func TestRewireShardedShapeInvariance(t *testing.T) {
 			Seed1:            7,
 			Seed2:            11,
 			Workers:          workers,
-			Shards:           shards,
-			RoundSize:        roundSize,
+			shards:           shards,
+			roundSize:        roundSize,
 		})
 		return st
 	}
@@ -127,9 +127,10 @@ func TestRewireShardedDeltaExact(t *testing.T) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		fixed, cands, target := shardedInput(seed, 100+int(seed)*25)
 		n := nodeCount(fixed, cands)
-		st := newRewireState(n, fixed, cands, target)
-		run := &shardedRun{st: st, rows: buildRows(st)}
-		sc := newEvalScratch(len(st.buckets)-1, len(st.deg))
+		st := newSerialState(n, fixed, cands, target)
+		run := &shardedRun{st: st.rewireState, rows: buildRows(st)}
+		sc := newEvalScratch(len(st.buckets) - 1)
+		ms := &markSet{vm: make([]vmark, n)}
 		r := rand.New(rand.NewPCG(seed, 0xd1ff))
 		kmax := len(st.buckets) - 1
 		dsum := make([]int64, kmax+1)
@@ -151,7 +152,7 @@ func TestRewireShardedDeltaExact(t *testing.T) {
 			exercised++
 
 			sc.touch, sc.kd = sc.touch[:0], sc.kd[:0]
-			run.evalSwap(sc, int32(i), int32(j), int32(a), int32(b))
+			run.evalSwap(sc, ms, int32(i), int32(j), int32(a), int32(b))
 			pred := map[int32]int64{}
 			for _, td := range sc.touch {
 				pred[td.w] += td.d
@@ -305,17 +306,17 @@ func TestRewireShardedInvariants(t *testing.T) {
 	}
 }
 
-// TestRewireShardedQuality keeps the engines honest against each other:
-// on identical inputs and budgets the sharded trajectory differs from the
-// serial one, but it must converge comparably — the whole point of the
-// rewiring phase.
+// TestRewireShardedQuality keeps the engine honest against the serial
+// reference loop: on identical inputs and budgets the sharded trajectory
+// differs from the serial one, but it must converge comparably — the
+// whole point of the rewiring phase.
 func TestRewireShardedQuality(t *testing.T) {
 	var serialSum, shardedSum float64
 	for seed := uint64(1); seed <= 4; seed++ {
 		fixed, cands, target := diffInput(seed, 160)
 		n := nodeCount(fixed, cands)
 		cs := append([]graph.Edge(nil), cands...)
-		_, serial := Rewire(n, fixed, cs, RewireOptions{
+		_, serial := rewireSerialRef(n, fixed, cs, rewireOptions{
 			TargetClustering: target, RC: 10,
 			Rand: rand.New(rand.NewPCG(seed, 42)),
 		})
@@ -340,13 +341,14 @@ func TestRewireShardedQuality(t *testing.T) {
 
 // TestShardedStateMatchesSerial pins the sharded engine's direct state
 // constructor (sorted rows from edges, triangles by row intersection) to
-// the serial newRewireState: every scalar, array and float bit must
-// match, and the direct rows must equal buildRows over the serial state.
+// the serial reference's newSerialState: every scalar, array and float
+// bit must match, and the direct rows must equal buildRows over the
+// serial state.
 func TestShardedStateMatchesSerial(t *testing.T) {
 	for seed := uint64(1); seed <= 4; seed++ {
 		fixed, cands, target := shardedInput(seed, 300)
 		n := nodeCount(fixed, cands)
-		ref := newRewireState(n, fixed, cands, target)
+		ref := newSerialState(n, fixed, cands, target)
 		refRows := buildRows(ref)
 		st, rows := newShardedState(n, fixed, cands, target)
 
@@ -386,59 +388,6 @@ func TestShardedStateMatchesSerial(t *testing.T) {
 				!slices.Equal(rows.cnt[o:o+l], refRows.cnt[o:o+l]) ||
 				!slices.Equal(rows.dg[o:o+l], refRows.dg[o:o+l]) {
 				t.Fatalf("seed %d: row %d content mismatch", seed, u)
-			}
-		}
-	}
-}
-
-// TestRewireShardedEvaluatorEquivalence pins the two proposal evaluators
-// to each other: the dense mark-and-probe walk (used for graphs up to
-// denseEvalMaxN nodes) and the ordered-merge walk must drive identical
-// trajectories — same stats bits, same output graph, same final candidate
-// endpoints. The walks emit per-node deltas in different orders, but
-// integer accumulation commutes and kd spans are degree-sorted at drain,
-// so any divergence here is an evaluator bug, not float noise.
-func TestRewireShardedEvaluatorEquivalence(t *testing.T) {
-	for seed := uint64(1); seed <= 4; seed++ {
-		fixed, cands, target := shardedInput(seed, 140+int(seed)*30)
-		n := nodeCount(fixed, cands)
-		for _, forbid := range []bool{false, true} {
-			var refG *graph.Graph
-			var refSt RewireStats
-			var refCands []graph.Edge
-			for _, merge := range []bool{false, true} {
-				cc := append([]graph.Edge(nil), cands...)
-				g, st := RewireSharded(n, fixed, cc, ShardedRewireOptions{
-					TargetClustering: target,
-					RC:               6,
-					Seed1:            seed,
-					Seed2:            seed ^ 0xfeed,
-					ForbidDegenerate: forbid,
-					forceMergeEval:   merge,
-				})
-				if !merge {
-					refG, refSt, refCands = g, st, cc
-					if st.Accepted == 0 {
-						t.Errorf("seed %d forbid=%v: accepted nothing — weak input", seed, forbid)
-					}
-					continue
-				}
-				if st != refSt {
-					t.Fatalf("seed %d forbid=%v: merge evaluator stats diverge: %+v vs %+v",
-						seed, forbid, st, refSt)
-				}
-				if math.Float64bits(st.FinalL1) != math.Float64bits(refSt.FinalL1) {
-					t.Fatalf("seed %d forbid=%v: FinalL1 bits diverge across evaluators", seed, forbid)
-				}
-				if !graph.Equal(g, refG) {
-					t.Fatalf("seed %d forbid=%v: output graphs diverge across evaluators", seed, forbid)
-				}
-				for i := range cc {
-					if cc[i] != refCands[i] {
-						t.Fatalf("seed %d forbid=%v: candidate %d endpoints diverge across evaluators",
-							seed, forbid, i)
-					}
-				}
 			}
 		}
 	}

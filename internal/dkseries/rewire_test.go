@@ -17,10 +17,10 @@ func TestRewirePreservesDegreesAndJDM(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := DegreeClustering(src)
-	out, stats := Rewire(src.N(), nil, res.Added, RewireOptions{
+	out, stats := RewireSharded(src.N(), nil, res.Added, ShardedRewireOptions{
 		TargetClustering: target,
 		RC:               30,
-		Rand:             rng(12),
+		Seed1:            12,
 	})
 	if stats.Accepted == 0 {
 		t.Fatal("expected some accepted rewirings")
@@ -40,10 +40,10 @@ func TestRewireDecreasesClusteringDistance(t *testing.T) {
 		t.Fatal(err)
 	}
 	target := DegreeClustering(src)
-	out, stats := Rewire(src.N(), nil, res.Added, RewireOptions{
+	out, stats := RewireSharded(src.N(), nil, res.Added, ShardedRewireOptions{
 		TargetClustering: target,
 		RC:               50,
-		Rand:             rng(15),
+		Seed1:            15,
 	})
 	if stats.FinalL1 >= stats.InitialL1 {
 		t.Fatalf("rewiring did not improve: initial %v final %v", stats.InitialL1, stats.FinalL1)
@@ -85,10 +85,10 @@ func TestRewireFixedEdgesUntouched(t *testing.T) {
 	fixed := edges[:half]
 	cands := append([]graph.Edge(nil), edges[half:]...)
 	target := map[int]float64{3: 0.9, 4: 0.8, 5: 0.5}
-	out, _ := Rewire(src.N(), fixed, cands, RewireOptions{
+	out, _ := RewireSharded(src.N(), fixed, cands, ShardedRewireOptions{
 		TargetClustering: target,
 		RC:               20,
-		Rand:             rng(17),
+		Seed1:            17,
 	})
 	// All fixed edges must still exist.
 	for _, e := range fixed {
@@ -109,10 +109,10 @@ func TestRewireFixedEdgesUntouched(t *testing.T) {
 
 func TestRewireNoCandidatesIsIdentity(t *testing.T) {
 	g := gen.HolmeKim(50, 2, 0.5, rng(18))
-	out, stats := Rewire(g.N(), g.Edges(), nil, RewireOptions{
+	out, stats := RewireSharded(g.N(), g.Edges(), nil, ShardedRewireOptions{
 		TargetClustering: map[int]float64{2: 0.5},
 		RC:               100,
-		Rand:             rng(19),
+		Seed1:            19,
 	})
 	if stats.Attempts != 0 {
 		t.Fatal("no candidates must mean no attempts")
@@ -124,10 +124,10 @@ func TestRewireNoCandidatesIsIdentity(t *testing.T) {
 
 func TestRewireZeroTargetSkips(t *testing.T) {
 	g := gen.HolmeKim(50, 2, 0.5, rng(20))
-	_, stats := Rewire(g.N(), nil, g.Edges(), RewireOptions{
+	_, stats := RewireSharded(g.N(), nil, g.Edges(), ShardedRewireOptions{
 		TargetClustering: nil,
 		RC:               100,
-		Rand:             rng(21),
+		Seed1:            21,
 	})
 	if stats.Attempts != 0 {
 		t.Fatal("zero target must skip rewiring")
@@ -142,10 +142,10 @@ func TestRewireHandlesLoopsAndMultiEdges(t *testing.T) {
 		g.AddEdge(e.U, e.V)
 	}
 	target := map[int]float64{2: 1.0, 3: 1.0}
-	out, _ := Rewire(6, nil, append([]graph.Edge(nil), edges...), RewireOptions{
+	out, _ := RewireSharded(6, nil, append([]graph.Edge(nil), edges...), ShardedRewireOptions{
 		TargetClustering: target,
 		RC:               200,
-		Rand:             rng(22),
+		Seed1:            22,
 	})
 	if err := out.Validate(); err != nil {
 		t.Fatal(err)

@@ -5,17 +5,13 @@
 // rewiring with incremental triangle maintenance (Algorithm 6), and
 // standalone 0K/1K/2K/2.5K graph generators.
 //
-// Rewiring ships as two engines. Rewire is the serial reference: it
-// mutates the adjacency on every attempt and reverts on rejection, and
-// its trajectory is frozen byte-for-byte against the map-based
-// implementation it replaced. RewireSharded is the parallel engine the
-// restoration pipeline runs: deterministic shards propose read-only from
-// independent PCG sub-streams and accepted swaps merge in fixed order,
-// so its output is byte-identical at any worker count (see the
-// rewire_sharded.go file comment for the full determinism contract).
-// The engines share state and accept semantics but not proposal
-// sequences: for one seed they produce different, equally valid
-// rewirings.
+// Rewiring runs on one engine, RewireSharded: deterministic shards
+// propose read-only from independent PCG sub-streams and accepted swaps
+// merge in fixed order, so its output is byte-identical at any worker
+// count (see the rewire_sharded.go file comment for the full determinism
+// contract). The serial loop of Algorithm 6 as written — mutate on every
+// attempt, revert on rejection — survives only as a frozen test reference
+// for the engine's evaluator and state.
 package dkseries
 
 import (

@@ -195,7 +195,10 @@ func (h *Histogram) appendPrometheus(buf []byte, name string) []byte {
 	buf = strconv.AppendInt(buf, cum, 10)
 	buf = append(buf, '\n')
 	buf = appendScalar(buf, name+"_sum", h.sum.Load())
-	buf = appendScalar(buf, name+"_count", h.count.Load())
+	// _count is the +Inf bucket's total, not a separate load of h.count:
+	// under concurrent Observe the two can differ by in-flight
+	// observations, and a scrape must never disagree with itself.
+	buf = appendScalar(buf, name+"_count", cum)
 	for _, p := range [...]struct {
 		suffix string
 		q      float64
