@@ -74,10 +74,12 @@ bench-gate:
 		rm -f $$base; \
 	done; exit $$st
 
-# Oracle (graphd HTTP server + resilient client) throughput baseline — raw
-# query rate, full remote crawls, and the 8-concurrent-crawler load shape.
+# Oracle (graphd HTTP server + resilient client) throughput baseline — full
+# remote crawls and the 8-concurrent-crawler load shape. The raw query
+# rate (BenchmarkOracleNeighbors) is recorded once, in the gated
+# BENCH_props.json.
 bench-oracle-json:
-	$(call record-bench,$(GO) test -run='^$$' -bench='^Benchmark(OracleNeighbors$$|OracleCrawl|OracleConcurrentCrawlers)' -benchmem -benchtime=$(ORACLE_BENCHTIME) ./internal/oracle,BENCH_oracle.json)
+	$(call record-bench,$(GO) test -run='^$$' -bench='^Benchmark(OracleCrawl|OracleConcurrentCrawlers)' -benchmem -benchtime=$(ORACLE_BENCHTIME) ./internal/oracle,BENCH_oracle.json)
 
 # Read-path (CSR snapshot) perf baseline: full property computation in
 # exact and pivot mode against the frozen pre-CSR pipeline, Brandes over
@@ -136,12 +138,20 @@ chaos:
 trace-demo:
 	bash scripts/trace_demo.sh
 
-# Mirrors the CI lint job: vet, gofmt, the sgrlint determinism suite
-# (test files included), and govulncheck when installed (CI always runs
-# it; locally it is skipped rather than go-installed so the target works
-# offline).
+# Mirrors the CI lint job: vet (of the sgrbench module too — it imports
+# sgr/internal/... through a replace, and nothing else compiles it), a
+# check that internal/adjset stays test support (no non-test package may
+# import it; .Imports excludes test imports), gofmt, the sgrlint
+# determinism suite (test files included), and govulncheck when installed
+# (CI always runs it; locally it is skipped rather than go-installed so
+# the target works offline).
 lint:
 	$(GO) vet ./...
+	cd sgrbench && $(GO) vet ./...
+	@bad="$$($(GO) list -f '{{.ImportPath}}: {{join .Imports " "}}' ./... | \
+		grep -v '^sgr/internal/adjset:' | grep -E ' sgr/internal/adjset( |$$)')"; \
+	if [ -n "$$bad" ]; then echo "internal/adjset is test support only; imported by:"; \
+		echo "$$bad"; exit 1; fi
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) run ./cmd/sgrlint ./...

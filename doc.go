@@ -50,14 +50,15 @@
 // to the in-memory path at the same seed; see README.md, "The networked
 // graph oracle".
 //
-// Adjacency hot paths run on internal/adjset, a flat open-addressing
-// multiset (int32 key/count slots, linear probing, backward-shift
-// deletion) that replaces map-based rows in phase-4 rewiring, the walk
-// estimators, and graph.Index() — the built-once O(1) Multiplicity /
-// HasEdge index that any Graph mutation invalidates. The rewiring engine
-// is differentially tested byte-for-byte against the original map-based
-// implementation, and `make bench-json` records its perf baseline in
-// BENCH_rewire.json (see README.md, "The adjset engine").
+// Production code reads adjacency in three forms: a Graph's own neighbor
+// lists, its graph.CSR snapshot (Graph.CSR().Multiplicity answers A[u][v]
+// by binary search; there is no separate multiplicity index), and the
+// rewiring engine's sorted rows. The walk estimators read the crawl's
+// neighbor lists directly. internal/adjset, a flat open-addressing
+// multiset, survives only as test support for the frozen serial rewiring
+// reference that the engine is checked against byte-for-byte; `make
+// bench-json` records the engine's perf baseline in BENCH_rewire.json
+// (see README.md, "Adjacency forms").
 //
 // Phase-4 rewiring — the pipeline's hot path — runs on the sharded
 // parallel engine of dkseries.RewireSharded: the candidate half-edge
@@ -100,7 +101,7 @@
 // README.md, "Restoration as a service".
 //
 // The read side runs on graph.CSR, an immutable int32 compressed-sparse-
-// row snapshot cached next to Index() and invalidated by every mutator:
+// row snapshot cached on the graph and invalidated by every mutator:
 // one endpoint view in original adjacency order (served zero-copy as
 // oracle neighbor pages) and one sorted distinct-neighbor/multiplicity
 // view whose rows make triangle and shared-partner counting a linear

@@ -11,11 +11,15 @@
 // the convention of the map-based rows it replaces.
 //
 // Get, Inc and Dec are expected O(1) (the tables stay under a 3/4 load
-// factor); Iterate and Row are O(capacity) linear scans. The Set backs
-// the serial rewiring engine and the walk estimators; the sharded
-// rewiring engine reads its own sorted-row mirror instead (see
-// internal/dkseries/rewire_sharded.go), trading O(1) probes for ordered
-// merge intersections.
+// factor); Iterate and Row are O(capacity) linear scans.
+//
+// The Set is test support only: it backs the frozen serial rewiring
+// reference (rewireSerialRef in internal/dkseries's tests) that the
+// production engine is compared against, and no production package
+// imports it (make lint enforces this). Production code reads three
+// adjacency forms instead: a graph.Graph's neighbor lists, its graph.CSR
+// snapshot, and the rewiring engine's sorted rows (sortedRows in
+// internal/dkseries/rewire_sharded.go).
 package adjset
 
 // Empty marks an unoccupied key slot. Node IDs must be >= 0, so -1 is free.

@@ -161,12 +161,11 @@ func (res *Result) Validate() error {
 		return fmt.Errorf("core: edge total %d != target %d", gj.TotalEdges(), res.TargetJDM.TotalEdges())
 	}
 	if res.Subgraph != nil {
-		// O(1) multiplicity probes via the flat indices instead of
-		// per-query neighbor-list scans.
-		ix := res.Graph.Index()
-		subIx := res.Subgraph.Graph.Index()
+		// Multiplicity probes by binary search on the CSR snapshots'
+		// sorted rows instead of per-query neighbor-list scans.
+		c, sub := res.Graph.CSR(), res.Subgraph.Graph.CSR()
 		for _, e := range res.Subgraph.Graph.Edges() {
-			if ix.Multiplicity(e.U, e.V) < subIx.Multiplicity(e.U, e.V) {
+			if c.Multiplicity(e.U, e.V) < sub.Multiplicity(e.U, e.V) {
 				return fmt.Errorf("core: subgraph edge (%d,%d) missing from output", e.U, e.V)
 			}
 		}

@@ -17,7 +17,6 @@ import (
 	"math"
 	"sort"
 
-	"sgr/internal/adjset"
 	"sgr/internal/sampling"
 )
 
@@ -30,43 +29,42 @@ type Walk struct {
 	Seq []int // x_1..x_r (original node IDs)
 	Deg []int // Deg[i] = true degree of Seq[i]
 
-	degOf map[int]int   // queried node -> true degree
-	pos   map[int][]int // queried node -> sorted positions in Seq
-	idx   map[int]int   // queried node -> dense index into ids/adj
-	ids   []int         // dense index -> queried node, first-query order
-	adj   *adjset.Set   // adjacency among queried nodes (dense, multiplicity)
+	nbrs map[int][]int // queried node -> neighbor list (the crawl's own)
+	pos  map[int][]int // queried node -> sorted positions in Seq
+	idx  map[int]int   // queried node -> dense index into ids
+	ids  []int         // dense index -> queried node, first-query order
 }
 
 // NewWalk validates and indexes a random-walk crawl. The crawl must contain
-// a walk sequence with at least 3 steps.
+// a walk sequence with at least 3 steps. The Walk reads c's walk sequence
+// and neighbor lists in place, so c must not change while it is in use.
 func NewWalk(c *sampling.Crawl) (*Walk, error) {
 	if len(c.Walk) < 3 {
 		return nil, fmt.Errorf("estimate: walk too short (r=%d, need >= 3)", len(c.Walk))
 	}
 	w := &Walk{
-		Seq:   c.Walk,
-		degOf: make(map[int]int, len(c.Neighbors)),
-		pos:   make(map[int][]int),
-		idx:   make(map[int]int, len(c.Neighbors)),
-	}
-	for u, nb := range c.Neighbors {
-		w.degOf[u] = len(nb)
+		Seq:  c.Walk,
+		nbrs: c.Neighbors,
+		pos:  make(map[int][]int),
+		idx:  make(map[int]int, len(c.Neighbors)),
 	}
 	w.Deg = make([]int, len(c.Walk))
 	for i, u := range c.Walk {
-		d, ok := w.degOf[u]
+		nb, ok := w.nbrs[u]
 		if !ok {
 			return nil, fmt.Errorf("estimate: walk node %d missing from sampling list", u)
 		}
+		d := len(nb)
 		if d == 0 {
 			return nil, fmt.Errorf("estimate: walk visits isolated node %d", u)
 		}
 		w.Deg[i] = d
 		w.pos[u] = append(w.pos[u], i)
 	}
-	// Dense remap of queried nodes in first-query order, so adjacency
-	// iteration (JDDIE) is deterministic; fall back to the Neighbors keys
-	// for hand-built crawls that carry no Queried list.
+	// Dense remap of queried nodes in first-query order: JDDIE visits each
+	// queried pair from the endpoint with the smaller index, so which
+	// side's list counts must not depend on map order. Fall back to the
+	// Neighbors keys for hand-built crawls that carry no Queried list.
 	for _, u := range c.Queried {
 		if _, ok := c.Neighbors[u]; !ok {
 			continue
@@ -88,19 +86,6 @@ func NewWalk(c *sampling.Crawl) (*Walk, error) {
 		w.idx[u] = len(w.ids)
 		w.ids = append(w.ids, u)
 	}
-	// Adjacency restricted to queried nodes (all the estimators need),
-	// stored as flat multiset rows over the dense indices.
-	w.adj = adjset.New(len(w.ids))
-	for ui, u := range w.ids {
-		for _, v := range c.Neighbors[u] {
-			if v == u {
-				continue
-			}
-			if vi, queried := w.idx[v]; queried {
-				w.adj.Inc(ui, vi)
-			}
-		}
-	}
 	return w, nil
 }
 
@@ -116,20 +101,23 @@ func (w *Walk) Lag() int {
 	return m
 }
 
-// multiplicity returns A[u][v] restricted to queried nodes.
+// multiplicity returns A[u][v] restricted to queried nodes: how many times
+// u's own neighbor list names v. The count is directed, so an API that
+// reports an edge from one side only answers for (u,v) and (v,u) apart.
 func (w *Walk) multiplicity(u, v int) int {
 	if u == v {
 		return 0 // the hidden graphs are simple
 	}
-	ui, ok := w.idx[u]
-	if !ok {
+	if _, queried := w.nbrs[v]; !queried {
 		return 0
 	}
-	vi, ok := w.idx[v]
-	if !ok {
-		return 0
+	c := 0
+	for _, x := range w.nbrs[u] {
+		if x == v {
+			c++
+		}
 	}
-	return w.adj.Get(ui, vi)
+	return c
 }
 
 // numOrderedFarPairs returns |I| = (r-M)(r-M+1), the number of ordered index

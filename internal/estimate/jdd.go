@@ -1,10 +1,6 @@
 package estimate
 
-import (
-	"sort"
-
-	"sgr/internal/adjset"
-)
+import "sort"
 
 // DegreePair is a canonical (K <= Kp) degree pair keying joint-degree maps.
 // The stored value is the full-matrix entry P(k,k') = P(k',k).
@@ -34,21 +30,21 @@ func (w *Walk) JDDIE(nHat, avgDegHat float64, m int) map[DegreePair]float64 {
 	}
 	// For each adjacent queried pair {u,v}, count ordered far position
 	// pairs. Both orders contribute, so the diagonal entry (k,k)
-	// accumulates twice the unordered count. Each unordered pair is
-	// visited once via the dense-index guard (adj stores both directions);
-	// the dense first-query order makes the float accumulation order — and
-	// thus the estimate bits — reproducible across runs.
+	// accumulates twice the unordered count. Each unordered pair is read
+	// from the list of its endpoint with the smaller dense index, one entry
+	// at a time, so an edge listed k times adds its count k times. Every
+	// addend is an integer-valued float, so the sums are exact and the
+	// estimate bits do not depend on the accumulation order.
 	for ui, u := range w.ids {
 		pu := w.pos[u]
 		if len(pu) == 0 {
 			continue
 		}
-		keys, counts := w.adj.Row(ui)
-		for si, vk := range keys {
-			if vk == adjset.Empty || ui > int(vk) {
+		du := len(w.nbrs[u])
+		for _, v := range w.nbrs[u] {
+			if vi, queried := w.idx[v]; !queried || vi <= ui {
 				continue
 			}
-			v := w.ids[vk]
 			pv := w.pos[v]
 			if len(pv) == 0 {
 				continue
@@ -57,12 +53,11 @@ func (w *Walk) JDDIE(nHat, avgDegHat float64, m int) map[DegreePair]float64 {
 			if far <= 0 {
 				continue
 			}
-			du, dv := w.degOf[u], w.degOf[v]
-			contrib := far * float64(counts[si])
+			dv := len(w.nbrs[v])
 			if du == dv {
-				contrib *= 2
+				far *= 2
 			}
-			out[Pair(du, dv)] += contrib
+			out[Pair(du, dv)] += far
 		}
 	}
 	for kk := range out {

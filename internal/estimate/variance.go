@@ -152,11 +152,9 @@ func (w *Walk) NumNodesInterval(batches int) (Interval, error) {
 	}
 	return w.batchMeans(batches, func(lo, hi int) float64 {
 		sub := &Walk{
-			Seq:   w.Seq[lo:hi],
-			Deg:   w.Deg[lo:hi],
-			degOf: w.degOf,
-			adj:   w.adj,
-			pos:   positionsOf(w.Seq[lo:hi]),
+			Seq: w.Seq[lo:hi],
+			Deg: w.Deg[lo:hi],
+			pos: positionsOf(w.Seq[lo:hi]),
 		}
 		m := int(math.Round(DefaultLagFactor * float64(hi-lo)))
 		if m < 1 {

@@ -148,6 +148,9 @@ func TestBinaryRejectsInvalidGraphs(t *testing.T) {
 		{"degree sum mismatch", encode(2, []uint32{2, 2}, []uint32{1, 0})},
 		{"out of range neighbor", encode(2, []uint32{1, 1}, []uint32{1, 5})},
 		{"asymmetric adjacency", encode(3, []uint32{1, 1, 0}, []uint32{1, 2})},
+		// Every listed edge exists on both sides, but 0 lists 1 twice and 1
+		// lists 0 once: only a per-pair count comparison catches it.
+		{"asymmetric multiplicity", encode(3, []uint32{2, 3, 1}, []uint32{1, 1, 0, 2, 2, 1})},
 		{"half self-loop", encode(2, []uint32{1, 1}, []uint32{0, 0})},
 	}
 	for _, tc := range cases {

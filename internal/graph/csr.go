@@ -7,9 +7,13 @@ import (
 
 // CSR is an immutable compressed-sparse-row snapshot of a Graph: the shared
 // read path for everything that only consumes adjacency — property
-// computation, the evaluation harness, and the oracle server. It carries two
-// views of every node's row, both int32-indexed and carved out of flat
-// arrays so hot loops touch contiguous memory instead of chasing [][]int:
+// computation, the evaluation harness, the oracle server, and the
+// multiplicity probes of Graph.Validate and the restoration post-condition.
+// It is one of three adjacency forms in production code, next to the
+// Graph's own mutable neighbor lists and the rewiring engine's sorted rows
+// (internal/dkseries). It carries two views of every node's row, both
+// int32-indexed and carved out of flat arrays so hot loops touch
+// contiguous memory instead of chasing [][]int:
 //
 //   - the endpoint view (Endpoints): one entry per incident edge endpoint in
 //     the graph's original adjacency order — multi-edges repeat, a self-loop
@@ -22,8 +26,8 @@ import (
 //     kernel of triangle counting and shared-partner statistics — into a
 //     linear merge, and make float accumulation order reproducible.
 //
-// Obtain one via Graph.CSR(); it is cached next to Index() and invalidated
-// by every mutating method. A CSR handle held across a mutation keeps
+// Obtain one via Graph.CSR(); it is cached on the graph and invalidated by
+// every mutating method. A CSR handle held across a mutation keeps
 // answering for the snapshot it was built from. A CSR is safe for
 // concurrent readers.
 type CSR struct {

@@ -80,8 +80,8 @@ func TestCSREmptyAndIsolated(t *testing.T) {
 }
 
 // TestCSRInvalidatedByEveryMutator exercises each mutating method of Graph
-// and requires both cached snapshots — Index and CSR — to be dropped, so no
-// reader can observe a stale view after any mutation.
+// and requires the cached CSR snapshot to be dropped, so no reader can
+// observe a stale view after any mutation.
 func TestCSRInvalidatedByEveryMutator(t *testing.T) {
 	base := func() *Graph {
 		g := New(4)
@@ -105,14 +105,13 @@ func TestCSRInvalidatedByEveryMutator(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			g := base()
-			ix, c := g.Index(), g.CSR()
-			if g.Index() != ix || g.CSR() != c {
-				t.Fatal("snapshots must be cached between calls without mutation")
+			c := g.CSR()
+			if g.CSR() != c {
+				t.Fatal("CSR must be cached between calls without mutation")
 			}
 			tc.mutate(g)
-			if g.idx != nil || g.csr != nil {
-				t.Fatalf("%s left a cached snapshot in place (idx=%v csr=%v)",
-					tc.name, g.idx != nil, g.csr != nil)
+			if g.csr != nil {
+				t.Fatalf("%s left the cached CSR in place", tc.name)
 			}
 			// The rebuilt snapshot reflects the mutation; the old handle
 			// keeps answering for the snapshot it was built from.
@@ -123,6 +122,17 @@ func TestCSRInvalidatedByEveryMutator(t *testing.T) {
 			for u := 0; u < g.N(); u++ {
 				if c2.Degree(u) != g.Degree(u) {
 					t.Fatalf("rebuilt CSR degree(%d) = %d want %d", u, c2.Degree(u), g.Degree(u))
+				}
+			}
+			old := base()
+			if c.N() != old.N() || c.M() != old.M() {
+				t.Fatalf("stale handle N/M = %d/%d want %d/%d", c.N(), c.M(), old.N(), old.M())
+			}
+			for u := 0; u < old.N(); u++ {
+				for v := 0; v < old.N(); v++ {
+					if c.Multiplicity(u, v) != old.Multiplicity(u, v) {
+						t.Fatalf("stale handle A[%d][%d] = %d want %d", u, v, c.Multiplicity(u, v), old.Multiplicity(u, v))
+					}
 				}
 			}
 		})

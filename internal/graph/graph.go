@@ -12,8 +12,6 @@ package graph
 import (
 	"fmt"
 	"sort"
-
-	"sgr/internal/adjset"
 )
 
 // Graph is an undirected multigraph over dense integer node IDs 0..N()-1.
@@ -25,19 +23,14 @@ type Graph struct {
 	adj [][]int
 	m   int // number of edges (a self-loop counts as one edge)
 
-	// idx caches the flat multiplicity index built by Index() and csr the
-	// compressed-sparse-row snapshot built by CSR(); every mutating method
-	// resets both to nil.
-	idx *Index
+	// csr caches the compressed-sparse-row snapshot built by CSR(); every
+	// mutating method resets it to nil.
 	csr *CSR
 }
 
-// invalidate drops the cached read-path snapshots. Every mutating method
-// calls it before changing the adjacency.
-func (g *Graph) invalidate() {
-	g.idx = nil
-	g.csr = nil
-}
+// invalidate drops the cached CSR snapshot. Every mutating method calls it
+// before changing the adjacency.
+func (g *Graph) invalidate() { g.csr = nil }
 
 // New returns a graph with n isolated nodes.
 func New(n int) *Graph {
@@ -176,52 +169,6 @@ func (g *Graph) Multiplicity(u, v int) int {
 // HasEdge reports whether at least one edge joins u and v.
 func (g *Graph) HasEdge(u, v int) bool { return g.Multiplicity(u, v) > 0 }
 
-// Index is a flat adjacency-multiset snapshot of a Graph offering O(1)
-// Multiplicity and HasEdge, for callers that probe many node pairs (props,
-// validation, rewiring audits). Obtain one via Graph.Index().
-type Index struct {
-	set *adjset.Set
-}
-
-// Index returns the graph's multiplicity index, building it on first use
-// in O(n + m) and caching it on the graph. Any mutation (AddEdge,
-// RemoveEdge, AddNode, AddNodes) invalidates the cache, so a later Index()
-// call rebuilds; an Index handle held across a mutation keeps answering
-// for the snapshot it was built from. Building is not goroutine-safe:
-// call Index() once before sharing a graph across goroutines that read it.
-func (g *Graph) Index() *Index {
-	if g.idx == nil {
-		g.idx = g.buildIndex()
-	}
-	return g.idx
-}
-
-// buildIndex constructs a fresh index from the current adjacency lists.
-func (g *Graph) buildIndex() *Index {
-	s := adjset.New(len(g.adj))
-	for u, a := range g.adj {
-		for _, v := range a {
-			s.Inc(u, v)
-		}
-	}
-	return &Index{set: s}
-}
-
-// Multiplicity returns A[u][v] in O(1): the number of edges between
-// distinct u and v, or twice the number of self-loops if u == v.
-func (ix *Index) Multiplicity(u, v int) int { return ix.set.Get(u, v) }
-
-// HasEdge reports in O(1) whether at least one edge joins u and v.
-func (ix *Index) HasEdge(u, v int) bool { return ix.set.Get(u, v) > 0 }
-
-// DistinctNeighbors returns the number of distinct neighbors of u (a
-// self-loop counts u itself as one neighbor).
-func (ix *Index) DistinctNeighbors(u int) int { return ix.set.Len(u) }
-
-// Row exposes u's raw (neighbor, multiplicity) slots for allocation-free
-// iteration; slots with key adjset.Empty are vacant. Read-only.
-func (ix *Index) Row(u int) (keys, counts []int32) { return ix.set.Row(u) }
-
 // MaxDegree returns the maximum node degree (0 for an empty graph).
 func (g *Graph) MaxDegree() int {
 	max := 0
@@ -299,7 +246,7 @@ func (g *Graph) Clone() *Graph {
 
 // SortAdjacency sorts every neighbor list ascending, giving the graph a
 // canonical in-memory form (useful for tests and deterministic iteration).
-// It invalidates the cached snapshots: the CSR endpoint view mirrors the
+// It invalidates the cached CSR snapshot: its endpoint view mirrors the
 // in-memory adjacency order, which this reorders.
 func (g *Graph) SortAdjacency() {
 	g.invalidate()
@@ -344,15 +291,17 @@ func (g *Graph) Validate() error {
 	if ends != 2*g.m {
 		return fmt.Errorf("graph: %d endpoints but m=%d (want %d endpoints)", ends, g.m, 2*g.m)
 	}
-	// Fresh index (not the cache: Validate must see the adjacency as-is
-	// even if a caller corrupted it without going through a mutator).
-	ix := g.buildIndex()
+	// Fresh snapshot (not the cache: Validate must see the adjacency as-is
+	// even if a caller corrupted it without going through a mutator). The
+	// distinct row of u counts u's occurrences in each neighbor's list, so
+	// comparing the two directions compares the two lists' counts.
+	c := g.buildCSR()
 	for u := range g.adj {
 		for _, v := range g.adj[u] {
 			if u == v {
 				continue
 			}
-			if ix.Multiplicity(u, v) != ix.Multiplicity(v, u) {
+			if c.Multiplicity(u, v) != c.Multiplicity(v, u) {
 				return fmt.Errorf("graph: asymmetric multiplicity between %d and %d", u, v)
 			}
 		}

@@ -311,15 +311,14 @@ type cellResult struct {
 // engine race-free.
 func Evaluate(g *graph.Graph, cfg Config) (*Evaluation, error) {
 	cfg = cfg.withDefaults()
-	// Build the original graph's read-path snapshots once, serially,
-	// before anything fans out: CSR()/Index() construction is not
-	// goroutine-safe, and one immutable snapshot then serves every
-	// property cell of this evaluation (and both sides of any D-measure
-	// computed on the same graphs) for free. Each generated graph's
-	// snapshot is likewise built once inside its cell's props.Compute and
-	// shared across that graph's ten properties.
+	// Build the original graph's CSR snapshot once, serially, before
+	// anything fans out: CSR() construction is not goroutine-safe, and one
+	// immutable snapshot then serves every property cell of this
+	// evaluation (and both sides of any D-measure computed on the same
+	// graphs) for free. Each generated graph's snapshot is likewise built
+	// once inside its cell's props.Compute and shared across that graph's
+	// ten properties.
 	g.CSR()
-	g.Index()
 	orig := cfg.Original
 	if orig == nil {
 		orig = props.Compute(g, cfg.PropOpts)

@@ -3,11 +3,13 @@ package props
 // Frozen pre-CSR reference implementations of every props function that was
 // rewritten onto the shared graph.CSR snapshot, plus differential tests
 // pinning the rewrites to them. The references keep the exact shapes of the
-// replaced code — per-node NeighborMultiplicities maps, Index probes,
-// [][]int walks, the map-and-sort csr builder — so a behavioral drift in
-// the CSR read path fails here with strict (bit-for-bit) equality. This
-// mirrors the rewire_mapref_test.go pattern that guards the PR-2 adjset
-// rewiring engine.
+// replaced code — per-node NeighborMultiplicities maps, pair multiplicity
+// probes, [][]int walks, the map-and-sort csr builder — so a behavioral
+// drift in the CSR read path fails here with strict (bit-for-bit)
+// equality. The probes go through Graph.Multiplicity, a scan of the
+// shorter neighbor list with the same A[u][v] answer as the hashed index
+// the replaced code used. This mirrors the rewire_mapref_test.go pattern
+// that guards the rewiring engine.
 
 import (
 	"math"
@@ -54,9 +56,8 @@ func refNewCSR(g *graph.Graph) *csr {
 
 // refTriangleCounts is the frozen pair-probe triangle counter:
 // t_i = sum_{j<l} A_ij A_il A_jl over distinct non-self neighbor pairs,
-// with A_jl probed through the multiplicity index.
+// with A_jl probed through Graph.Multiplicity.
 func refTriangleCounts(g *graph.Graph) []int64 {
-	ix := g.Index()
 	t := make([]int64, g.N())
 	for u := 0; u < g.N(); u++ {
 		mm := g.NeighborMultiplicities(u)
@@ -67,7 +68,7 @@ func refTriangleCounts(g *graph.Graph) []int64 {
 		}
 		for i := 0; i < len(keys); i++ {
 			for k := i + 1; k < len(keys); k++ {
-				if ajl := ix.Multiplicity(keys[i], keys[k]); ajl > 0 {
+				if ajl := g.Multiplicity(keys[i], keys[k]); ajl > 0 {
 					t[u] += int64(mm[keys[i]]) * int64(mm[keys[k]]) * int64(ajl)
 				}
 			}
@@ -121,9 +122,8 @@ func refNeighborConnectivity(g *graph.Graph) map[int]float64 {
 }
 
 // refEdgewiseSharedPartners is the frozen probe-based P(s): scan one
-// endpoint's multiplicity map, probe the other through the index.
+// endpoint's multiplicity map, probe the other through Graph.Multiplicity.
 func refEdgewiseSharedPartners(g *graph.Graph) map[int]float64 {
-	ix := g.Index()
 	counts := make(map[int]int)
 	total := 0
 	for u := 0; u < g.N(); u++ {
@@ -137,7 +137,7 @@ func refEdgewiseSharedPartners(g *graph.Graph) map[int]float64 {
 				if w == u || w == v {
 					continue
 				}
-				if cb := ix.Multiplicity(v, w); cb > 0 {
+				if cb := g.Multiplicity(v, w); cb > 0 {
 					sp += cuw * cb
 				}
 			}

@@ -106,7 +106,8 @@ func TestJobByteIdenticalToOfflineRestore(t *testing.T) {
 // TestResubmitServedFromCache: an identical resubmission runs no second
 // pipeline — first via the job table (the submission IS the job), then via
 // the result cache when the job table forgets — and the cached answer is
-// at least 10x faster than the original run.
+// at least 10x faster than the original run, fastest sample against
+// fastest sample.
 func TestResubmitServedFromCache(t *testing.T) {
 	_, c := testGraphAndCrawl(t, 3, 0.2)
 	spec := &JobSpec{Seed: 3, RC: 50, Crawl: crawlJSONBytes(t, c)}
@@ -160,6 +161,55 @@ func TestResubmitServedFromCache(t *testing.T) {
 	}
 	if got := svc.CacheHits(); got != 1 {
 		t.Fatalf("cache hits = %d, want 1", got)
+	}
+
+	// One wall-clock sample per path is at the mercy of the scheduler: on
+	// a loaded machine a single stall of a few hundred microseconds
+	// outweighs the ~0.1 ms a served answer costs. Each path is therefore
+	// judged by its fastest of timingSamples runs, interleaved so a burst
+	// of load slows all three alike: further cold runs on fresh seeds (new
+	// content addresses) and further resubmissions of spec, taken after
+	// the counter checks above, which they move.
+	const timingSamples = 5
+	for i := 1; i < timingSamples; i++ {
+		cold := *spec
+		cold.Seed = spec.Seed + uint64(i)
+		t0 := time.Now()
+		j, existing, err := svc.Submit(&cold)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j)
+		coldLatency = min(coldLatency, time.Since(t0))
+		if existing || j.Status().Cached {
+			t.Fatalf("seed %d was not a cold run", cold.Seed)
+		}
+
+		t1 := time.Now()
+		j, existing, err = svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j)
+		dedupLatency = min(dedupLatency, time.Since(t1))
+		if !existing {
+			t.Fatal("resubmission did not land on the existing job")
+		}
+
+		svc.forget(job.ID)
+		t2 := time.Now()
+		j, _, err = svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitDone(t, j)
+		cacheLatency = min(cacheLatency, time.Since(t2))
+		if !j.Status().Cached {
+			t.Fatal("re-run job was not served from the result cache")
+		}
+	}
+	if got := svc.PipelineRuns(); got != timingSamples {
+		t.Fatalf("pipeline runs = %d after %d distinct seeds, want %d", got, timingSamples, timingSamples)
 	}
 	for name, served := range map[string]time.Duration{"dedup": dedupLatency, "cache": cacheLatency} {
 		if served*10 > coldLatency {
