@@ -194,9 +194,9 @@ func baseConfig(f flags) harness.Config {
 		RC:       f.rc,
 		Seed:     f.seed,
 		Workers:  f.workers,
-		// PropOpts.Workers stays unset; the harness pins it to 1 so the
-		// property floats depend on neither -workers nor the host CPU
-		// count, and the emitted tables never change with either.
+		// PropOpts.Workers stays unset: cells score serially and the
+		// original graph at the pool width. Properties are bit-identical
+		// at any worker count, so the tables never change with -workers.
 		PropOpts: props.Options{ExactThreshold: 6000, Pivots: 800},
 	}
 }

@@ -42,7 +42,7 @@ func main() {
 		workers  = flag.Int("workers", parallel.DefaultWorkers(), "restoration worker pool width")
 		queue    = flag.Int("queue", 64, "bounded job-queue depth (full queue answers 429 + Retry-After)")
 		cacheDir = flag.String("cache-dir", "", "persist the content-addressed result cache and the job WAL here")
-		propsW   = flag.Int("props-workers", 1, "worker bound for /props property computation (fixed value keeps results deterministic)")
+		propsW   = flag.Int("props-workers", 1, "worker bound for /props property computation (bounds CPU; the bytes are the same at any value)")
 		rewireW  = flag.Int("rewire-workers", 1, "per-job worker bound for phase-4 rewiring (output is byte-identical at any value)")
 		drain    = flag.Duration("drain", daemon.DefaultDrainTimeout, "graceful-drain window for in-flight requests on shutdown")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (live-profiling opt-in)")

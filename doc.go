@@ -33,8 +33,8 @@
 // seed the harness therefore produces identical results at any worker
 // count (harness.Config.Workers, or -workers on cmd/experiment; default
 // runtime.GOMAXPROCS), and the whole engine is -race-clean. cmd/restore's
-// -workers instead bounds the property-computation loops, whose
-// betweenness float merges are deterministic for a fixed value. See
+// -workers instead bounds the property-computation loops, whose results
+// are bit-identical at any value too. See
 // README.md for the exact stream derivation and the CI gates that enforce
 // this.
 //

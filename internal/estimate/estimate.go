@@ -30,9 +30,16 @@ type Walk struct {
 	Deg []int // Deg[i] = true degree of Seq[i]
 
 	nbrs map[int][]int // queried node -> neighbor list (the crawl's own)
-	pos  map[int][]int // queried node -> sorted positions in Seq
-	idx  map[int]int   // queried node -> dense index into ids
-	ids  []int         // dense index -> queried node, first-query order
+
+	// The queried nodes by dense index, in first-query order: each one's
+	// sorted positions in Seq, its degree, and its neighbor list as dense
+	// indices (-1 for a node that was not queried) in
+	// adj[adjOff[i]:adjOff[i+1]], built once so the pair estimators do no
+	// map lookups.
+	pos    [][]int
+	deg    []int
+	adjOff []int32
+	adj    []int32
 }
 
 // NewWalk validates and indexes a random-walk crawl. The crawl must contain
@@ -42,49 +49,69 @@ func NewWalk(c *sampling.Crawl) (*Walk, error) {
 	if len(c.Walk) < 3 {
 		return nil, fmt.Errorf("estimate: walk too short (r=%d, need >= 3)", len(c.Walk))
 	}
-	w := &Walk{
-		Seq:  c.Walk,
-		nbrs: c.Neighbors,
-		pos:  make(map[int][]int),
-		idx:  make(map[int]int, len(c.Neighbors)),
-	}
-	w.Deg = make([]int, len(c.Walk))
-	for i, u := range c.Walk {
-		nb, ok := w.nbrs[u]
-		if !ok {
-			return nil, fmt.Errorf("estimate: walk node %d missing from sampling list", u)
-		}
-		d := len(nb)
-		if d == 0 {
-			return nil, fmt.Errorf("estimate: walk visits isolated node %d", u)
-		}
-		w.Deg[i] = d
-		w.pos[u] = append(w.pos[u], i)
-	}
 	// Dense remap of queried nodes in first-query order: JDDIE visits each
 	// queried pair from the endpoint with the smaller index, so which
 	// side's list counts must not depend on map order. Fall back to the
 	// Neighbors keys for hand-built crawls that carry no Queried list.
+	idx := make(map[int]int32, len(c.Neighbors))
+	ids := make([]int, 0, len(c.Neighbors))
 	for _, u := range c.Queried {
 		if _, ok := c.Neighbors[u]; !ok {
 			continue
 		}
-		if _, dup := w.idx[u]; dup {
+		if _, dup := idx[u]; dup {
 			continue
 		}
-		w.idx[u] = len(w.ids)
-		w.ids = append(w.ids, u)
+		idx[u] = int32(len(ids))
+		ids = append(ids, u)
 	}
 	var rest []int
 	for u := range c.Neighbors {
-		if _, ok := w.idx[u]; !ok {
+		if _, ok := idx[u]; !ok {
 			rest = append(rest, u)
 		}
 	}
 	sort.Ints(rest) // map order would leak into the dense order
 	for _, u := range rest {
-		w.idx[u] = len(w.ids)
-		w.ids = append(w.ids, u)
+		idx[u] = int32(len(ids))
+		ids = append(ids, u)
+	}
+
+	w := &Walk{
+		Seq:    c.Walk,
+		nbrs:   c.Neighbors,
+		pos:    make([][]int, len(ids)),
+		deg:    make([]int, len(ids)),
+		adjOff: make([]int32, len(ids)+1),
+	}
+	total := 0
+	for i, u := range ids {
+		w.deg[i] = len(c.Neighbors[u])
+		total += w.deg[i]
+	}
+	w.Deg = make([]int, len(c.Walk))
+	for i, u := range c.Walk {
+		ui, ok := idx[u]
+		if !ok {
+			return nil, fmt.Errorf("estimate: walk node %d missing from sampling list", u)
+		}
+		d := w.deg[ui]
+		if d == 0 {
+			return nil, fmt.Errorf("estimate: walk visits isolated node %d", u)
+		}
+		w.Deg[i] = d
+		w.pos[ui] = append(w.pos[ui], i)
+	}
+	w.adj = make([]int32, 0, total)
+	for i, u := range ids {
+		for _, v := range c.Neighbors[u] {
+			vi, queried := idx[v]
+			if !queried {
+				vi = -1
+			}
+			w.adj = append(w.adj, vi)
+		}
+		w.adjOff[i+1] = int32(len(w.adj))
 	}
 	return w, nil
 }

@@ -1,6 +1,9 @@
 package estimate
 
-import "sort"
+import (
+	"slices"
+	"sort"
+)
 
 // DegreePair is a canonical (K <= Kp) degree pair keying joint-degree maps.
 // The stored value is the full-matrix entry P(k,k') = P(k',k).
@@ -34,18 +37,33 @@ func (w *Walk) JDDIE(nHat, avgDegHat float64, m int) map[DegreePair]float64 {
 	// from the list of its endpoint with the smaller dense index, one entry
 	// at a time, so an edge listed k times adds its count k times. Every
 	// addend is an integer-valued float, so the sums are exact and the
-	// estimate bits do not depend on the accumulation order.
-	for ui, u := range w.ids {
-		pu := w.pos[u]
+	// estimate bits do not depend on the accumulation order. The sums go
+	// into a grid over the queried nodes' distinct degrees, and only its
+	// non-zero cells become map entries.
+	cls := make([]int, slices.Max(w.deg)+1) // degree -> grid index
+	for _, d := range w.deg {
+		cls[d] = 1
+	}
+	var degs []int // grid index -> degree, ascending
+	for d := range cls {
+		if cls[d] != 0 {
+			cls[d] = len(degs)
+			degs = append(degs, d)
+		}
+	}
+	nd := len(degs)
+	grid := make([]float64, nd*nd)
+	for ui, pu := range w.pos {
 		if len(pu) == 0 {
 			continue
 		}
-		du := len(w.nbrs[u])
-		for _, v := range w.nbrs[u] {
-			if vi, queried := w.idx[v]; !queried || vi <= ui {
+		cu := cls[w.deg[ui]]
+		for _, vi := range w.adj[w.adjOff[ui]:w.adjOff[ui+1]] {
+			// Unqueried neighbors are -1, below every index.
+			if int(vi) <= ui {
 				continue
 			}
-			pv := w.pos[v]
+			pv := w.pos[vi]
 			if len(pv) == 0 {
 				continue
 			}
@@ -53,15 +71,20 @@ func (w *Walk) JDDIE(nHat, avgDegHat float64, m int) map[DegreePair]float64 {
 			if far <= 0 {
 				continue
 			}
-			dv := len(w.nbrs[v])
-			if du == dv {
+			cv := cls[w.deg[vi]]
+			if cu == cv {
 				far *= 2
 			}
-			out[Pair(du, dv)] += far
+			grid[min(cu, cv)*nd+max(cu, cv)] += far
 		}
 	}
-	for kk := range out {
-		out[kk] *= nHat * avgDegHat / (float64(kk.K) * float64(kk.Kp) * absI)
+	for a, k := range degs {
+		for b := a; b < nd; b++ {
+			if sum := grid[a*nd+b]; sum > 0 {
+				kp := degs[b]
+				out[DegreePair{k, kp}] = sum * (nHat * avgDegHat / (float64(k) * float64(kp) * absI))
+			}
+		}
 	}
 	return out
 }

@@ -165,10 +165,19 @@ func (w *Walk) NumNodesInterval(batches int) (Interval, error) {
 	})
 }
 
-func positionsOf(seq []int) map[int][]int {
-	pos := make(map[int][]int)
+// positionsOf groups the positions of seq by node, nodes in first-visit
+// order.
+func positionsOf(seq []int) [][]int {
+	idx := make(map[int]int)
+	var pos [][]int
 	for i, u := range seq {
-		pos[u] = append(pos[u], i)
+		j, ok := idx[u]
+		if !ok {
+			j = len(pos)
+			idx[u] = j
+			pos = append(pos, nil)
+		}
+		pos[j] = append(pos[j], i)
 	}
 	return pos
 }

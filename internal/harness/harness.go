@@ -100,7 +100,11 @@ type Config struct {
 	// byte-identical-at-any-worker-count guarantee extends to any Restorer
 	// honoring that contract, exactly as it does to Access.
 	Restorer func(method Method, c *sampling.Crawl, opts core.Options) (*core.Result, error)
-	// PropOpts tunes property computation (pivot thresholds etc.).
+	// PropOpts tunes property computation (pivot thresholds etc.). Its
+	// Workers bounds the property loops inside each cell (default 1) and
+	// those of the original graph, which runs before the cells fan out
+	// (default: the pool width). Properties are bit-identical at any
+	// value, so it bounds CPU only.
 	PropOpts props.Options
 	// Workers bounds how many evaluation cells — independent
 	// (run, method) jobs — execute concurrently (<= 0 selects
@@ -110,9 +114,8 @@ type Config struct {
 	// RewireWorkers bounds the propose-phase parallelism inside each
 	// cell's phase-4 rewiring (default 1: the engine's parallelism unit
 	// is the cell, and nesting rewiring pools under Workers concurrent
-	// cells multiplies the goroutine count for no determinism gain —
-	// rewiring output is byte-identical at any value, the same reasoning
-	// as PropOpts.Workers).
+	// cells multiplies the goroutine count). Rewiring output is
+	// byte-identical at any value.
 	RewireWorkers int
 	// Original, when non-nil, is the precomputed property result of the
 	// original graph (from ComputeOriginal), letting sweeps that evaluate
@@ -128,11 +131,25 @@ type Config struct {
 }
 
 // ComputeOriginal evaluates the original graph's 12 properties under this
-// configuration's (defaulted) property options — exactly what Evaluate
-// computes when Config.Original is nil.
+// configuration's property options — exactly what Evaluate computes when
+// Config.Original is nil. Nothing else runs alongside it, so it uses the
+// whole pool (PropOpts.Workers if set, else the pool width); the result
+// is the same at any width.
 func (c Config) ComputeOriginal(g *graph.Graph) *props.Result {
-	c = c.withDefaults()
-	return props.Compute(g, c.PropOpts)
+	return props.Compute(g, c.originalPropOpts())
+}
+
+// originalPropOpts is PropOpts with Workers defaulting to the pool width:
+// Config.Workers, else parallel.DefaultWorkers.
+func (c Config) originalPropOpts() props.Options {
+	o := c.PropOpts
+	if o.Workers <= 0 {
+		o.Workers = c.Workers
+	}
+	if o.Workers <= 0 {
+		o.Workers = parallel.DefaultWorkers()
+	}
+	return o
 }
 
 // Walker selects the crawl variant used for the shared random walk.
@@ -171,9 +188,7 @@ func (c Config) withDefaults() Config {
 	// Property computation inside a cell defaults to serial: the engine's
 	// parallelism unit is the cell, and nesting GOMAXPROCS-wide property
 	// pools under Workers concurrent cells would square the goroutine
-	// count and Brandes scratch. A fixed value also keeps the betweenness
-	// float merges — deterministic only for a fixed worker count —
-	// independent of both Workers and the host CPU count.
+	// count and Brandes scratch. The value changes no bits.
 	if c.PropOpts.Workers <= 0 {
 		c.PropOpts.Workers = 1
 	}
@@ -310,6 +325,7 @@ type cellResult struct {
 // shared original graph and the run's shared crawl, which keeps the
 // engine race-free.
 func Evaluate(g *graph.Graph, cfg Config) (*Evaluation, error) {
+	origOpts := cfg.originalPropOpts()
 	cfg = cfg.withDefaults()
 	// Build the original graph's CSR snapshot once, serially, before
 	// anything fans out: CSR() construction is not goroutine-safe, and one
@@ -321,7 +337,7 @@ func Evaluate(g *graph.Graph, cfg Config) (*Evaluation, error) {
 	g.CSR()
 	orig := cfg.Original
 	if orig == nil {
-		orig = props.Compute(g, cfg.PropOpts)
+		orig = props.Compute(g, origOpts)
 	}
 	ev := &Evaluation{Original: orig, Stats: make(map[Method]*MethodStats), Config: cfg}
 	for _, m := range cfg.Methods {

@@ -2,11 +2,14 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"testing"
 
 	"sgr/internal/gen"
+	"sgr/internal/props"
 )
 
 // evalWorkers evaluates the small test graph with a given worker count,
@@ -21,7 +24,8 @@ func evalWorkers(t testing.TB, workers, runs int) *Evaluation {
 		Seed:     99,
 		Workers:  workers,
 	}
-	cfg.PropOpts.Workers = 2 // fixed, so prop floats can't vary with cfg.Workers
+	// PropOpts.Workers stays unset: the original's properties run at the
+	// pool width, which must not change a bit either.
 	ev, err := Evaluate(g, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -58,6 +62,45 @@ func TestParallelMatchesSequential(t *testing.T) {
 	evB := map[string]*Evaluation{"toy": par}
 	if a, b := RenderAvgSD(evA), RenderAvgSD(evB); a != b {
 		t.Errorf("avg tables differ:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestOriginalPropsUseThePool pins the original graph's properties, now
+// computed at the pool width, to the serial bits: ComputeOriginal at four
+// workers renders the JSON of props.Compute at one, and Evaluate computing
+// the original itself equals Evaluate handed the precomputed result.
+func TestOriginalPropsUseThePool(t *testing.T) {
+	g := gen.HolmeKim(600, 3, 0.5, rand.New(rand.NewPCG(7, 8)))
+	got, err := json.Marshal(Config{Workers: 4}.ComputeOriginal(g))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(props.Compute(g, props.Options{Workers: 1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("ComputeOriginal at Workers 4 differs from props.Compute at Workers 1")
+	}
+	for _, workers := range []int{1, 3} {
+		cfg := Config{Fraction: 0.10, Runs: 2, RC: 3, Seed: 99, Workers: workers}
+		lazy, err := Evaluate(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Original = cfg.ComputeOriginal(g)
+		pre, err := Evaluate(g, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(lazy.Original, pre.Original) {
+			t.Errorf("workers=%d: original properties differ", workers)
+		}
+		for _, m := range AllMethods {
+			if !reflect.DeepEqual(lazy.Stats[m].PerProperty, pre.Stats[m].PerProperty) {
+				t.Errorf("workers=%d: %s L1 values differ", workers, m)
+			}
+		}
 	}
 }
 

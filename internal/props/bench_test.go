@@ -77,6 +77,17 @@ func BenchmarkBrandesAllSources(b *testing.B) {
 	}
 }
 
+// BenchmarkBrandesAllSourcesSerial is the same input at one worker: the
+// path the harness's cells and restored's default /props take.
+func BenchmarkBrandesAllSourcesSerial(b *testing.B) {
+	c, sources := brandesBenchInput(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		computePaths(c, sources, 1, 1)
+	}
+}
+
 // BenchmarkBrandesAllSourcesRef runs the frozen arc-rescanning kernel
 // (brandesref_test.go) through the same driver on the same input.
 func BenchmarkBrandesAllSourcesRef(b *testing.B) {

@@ -3,14 +3,64 @@ package props
 // Frozen arc-rescanning Brandes kernel and the differential test pinning
 // the successor-list kernel in paths.go to it, float bit for float bit.
 // refCompute (csrdiff_test.go) runs the same frozen kernel, so the
-// whole-pipeline differential test guards it too.
+// whole-pipeline differential test guards it too. The frozen driver keeps
+// the per-worker accumulator and worker-order float merge that
+// computePaths used before it merged in source order; they live here,
+// unchanged, and agree with computePaths at one worker.
 
 import (
+	"fmt"
 	"math"
 	"runtime"
+	"sort"
 	"sync"
 	"testing"
+
+	"sgr/internal/gen"
 )
+
+// pathPartial is one worker's accumulator.
+type pathPartial struct {
+	lenCounts []int64
+	sumLen    int64
+	maxLen    int
+	bc        []float64
+}
+
+// mergePaths folds the per-worker partials, in worker order, into the
+// statistics of an n-node component explored from nsources sources.
+func mergePaths(partials []*pathPartial, n, nsources int) *PathStats {
+	st := &PathStats{Dist: make(map[int]float64), Betweenness: make([]float64, n)}
+	var totalPairs, sumLen int64
+	lenCounts := make([]int64, 0)
+	for _, p := range partials {
+		if p.maxLen > st.Diameter {
+			st.Diameter = p.maxLen
+		}
+		sumLen += p.sumLen
+		for l, cnt := range p.lenCounts {
+			for len(lenCounts) <= l {
+				lenCounts = append(lenCounts, 0)
+			}
+			lenCounts[l] += cnt
+			totalPairs += cnt
+		}
+		for v := range p.bc {
+			st.Betweenness[v] += p.bc[v]
+		}
+	}
+	if totalPairs > 0 {
+		st.AvgLen = float64(sumLen) / float64(totalPairs)
+		for l, cnt := range lenCounts {
+			if cnt > 0 {
+				st.Dist[l] = float64(cnt) / float64(totalPairs)
+			}
+		}
+	}
+	st.Sources = nsources
+	st.Exact = nsources == n
+	return st
+}
 
 // refPathWorkspace is the frozen per-worker state, with the separate
 // order buffer the successor-list kernel dropped.
@@ -118,15 +168,22 @@ func refComputePaths(c *csr, sources []int32, scale float64, workers int) *PathS
 	return mergePaths(partials, c.n, len(sources))
 }
 
-// TestBrandesMatchesFrozen pins computePaths to the frozen kernel bit for
-// bit — AvgLen, every P(l) entry and every betweenness float — on the
-// multigraph corpus and the golden anybeat stand-in, in exact and pivot
-// mode (pivot mode exercises scale != 1), at several worker counts.
+// TestBrandesMatchesFrozen pins computePaths to the frozen kernel run
+// serially, bit for bit — AvgLen, every P(l) entry and every betweenness
+// float — on the multigraph corpus and the golden anybeat stand-in, in
+// exact and pivot mode (pivot mode exercises scale != 1), at every tested
+// worker count: computePaths merges in source order, so its bits do not
+// depend on the worker count.
 func TestBrandesMatchesFrozen(t *testing.T) {
 	graphs := diffGraphs()
 	graphs["anybeat"] = goldenGraph(t)
-	for name, g := range graphs {
-		c, _ := lccCSR(g)
+	names := make([]string, 0, len(graphs))
+	for name := range graphs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		c, _ := lccCSR(graphs[name])
 		if c.n <= 1 {
 			continue
 		}
@@ -142,32 +199,76 @@ func TestBrandesMatchesFrozen(t *testing.T) {
 			if len(sources) < c.n {
 				scale = float64(c.n) / float64(len(sources))
 			}
-			tag := name + " " + mode.name
-			for _, workers := range []int{1, 2, 3} {
+			want := refComputePaths(c, sources, scale, 1)
+			for _, workers := range []int{1, 2, 3, 5} {
 				got := computePaths(c, sources, scale, workers)
-				want := refComputePaths(c, sources, scale, workers)
-				if math.Float64bits(got.AvgLen) != math.Float64bits(want.AvgLen) {
-					t.Errorf("%s workers=%d: AvgLen %v want %v", tag, workers, got.AvgLen, want.AvgLen)
-				}
-				if got.Diameter != want.Diameter || got.Sources != want.Sources || got.Exact != want.Exact {
-					t.Errorf("%s workers=%d: diameter/sources/exact %d/%d/%v want %d/%d/%v", tag, workers,
-						got.Diameter, got.Sources, got.Exact, want.Diameter, want.Sources, want.Exact)
-				}
-				if len(got.Dist) != len(want.Dist) {
-					t.Errorf("%s workers=%d: %d path lengths, want %d", tag, workers, len(got.Dist), len(want.Dist))
-				}
-				for l, wp := range want.Dist {
-					if gp, ok := got.Dist[l]; !ok || math.Float64bits(gp) != math.Float64bits(wp) {
-						t.Errorf("%s workers=%d: P(%d) = %v want %v", tag, workers, l, gp, wp)
-					}
-				}
-				for v, wb := range want.Betweenness {
-					if gb := got.Betweenness[v]; math.Float64bits(gb) != math.Float64bits(wb) {
-						t.Errorf("%s workers=%d: betweenness[%d] = %v want %v", tag, workers, v, gb, wb)
-						break
-					}
-				}
+				samePaths(t, fmt.Sprintf("%s %s workers=%d", name, mode.name, workers), got, want)
 			}
+		}
+	}
+}
+
+// TestBrandesRowBudgetMatchesFrozen runs a component large enough that
+// rowBudget binds (fewer than 32 rows per worker, so a block holds fewer
+// sources than the workers would claim), in pivot mode with several
+// blocks, and pins it to the serial frozen kernel.
+func TestBrandesRowBudgetMatchesFrozen(t *testing.T) {
+	g := gen.HolmeKim(40000, 2, 0.3, rng(21))
+	c, _ := lccCSR(g)
+	opts := Options{ExactThreshold: 1, Pivots: 120}.withDefaults()
+	sources := pickSources(c.n, opts)
+	scale := float64(c.n) / float64(len(sources))
+	want := refComputePaths(c, sources, scale, 1)
+	for _, workers := range []int{2, 3, 5} {
+		rows := blockRows(c.n, len(sources), workers)
+		if rows >= 32*workers || rows >= len(sources) {
+			t.Fatalf("workers=%d: %d rows per block for n=%d; the budget does not bind", workers, rows, c.n)
+		}
+		got := computePaths(c, sources, scale, workers)
+		samePaths(t, fmt.Sprintf("budget workers=%d", workers), got, want)
+	}
+}
+
+// TestBlockRowsFloor checks the row-count arithmetic without allocating
+// rows: a million-node component in pivot mode gets the 2-rows-per-worker
+// floor, never 32 per worker, and a block never exceeds the source count.
+func TestBlockRowsFloor(t *testing.T) {
+	for _, tc := range []struct{ n, sources, workers, want int }{
+		{1 << 20, 1000, 2, 4},
+		{1 << 20, 1000, 8, 16},
+		{3161, 3161, 2, 64},
+		{3161, 3161, 1, 32},
+		{3161, 10, 2, 10},
+		{100000, 1000, 4, 20},
+	} {
+		if got := blockRows(tc.n, tc.sources, tc.workers); got != tc.want {
+			t.Errorf("blockRows(%d, %d, %d) = %d, want %d", tc.n, tc.sources, tc.workers, got, tc.want)
+		}
+	}
+}
+
+// samePaths fails unless got and want agree bit for bit.
+func samePaths(t *testing.T, tag string, got, want *PathStats) {
+	t.Helper()
+	if math.Float64bits(got.AvgLen) != math.Float64bits(want.AvgLen) {
+		t.Errorf("%s: AvgLen %v want %v", tag, got.AvgLen, want.AvgLen)
+	}
+	if got.Diameter != want.Diameter || got.Sources != want.Sources || got.Exact != want.Exact {
+		t.Errorf("%s: diameter/sources/exact %d/%d/%v want %d/%d/%v", tag,
+			got.Diameter, got.Sources, got.Exact, want.Diameter, want.Sources, want.Exact)
+	}
+	if len(got.Dist) != len(want.Dist) {
+		t.Errorf("%s: %d path lengths, want %d", tag, len(got.Dist), len(want.Dist))
+	}
+	for l, wp := range want.Dist {
+		if gp, ok := got.Dist[l]; !ok || math.Float64bits(gp) != math.Float64bits(wp) {
+			t.Errorf("%s: P(%d) = %v want %v", tag, l, gp, wp)
+		}
+	}
+	for v, wb := range want.Betweenness {
+		if gb := got.Betweenness[v]; math.Float64bits(gb) != math.Float64bits(wb) {
+			t.Errorf("%s: betweenness[%d] = %v want %v", tag, v, gb, wb)
+			break
 		}
 	}
 }

@@ -228,7 +228,9 @@ func refCompute(g *graph.Graph, opts Options) *Result {
 	if len(sources) < lcc.N() {
 		scale = float64(lcc.N()) / float64(len(sources))
 	}
-	st := refComputePaths(c, sources, scale, opts.Workers)
+	// Serial: Compute's betweenness carries the one-worker bits at any
+	// Workers value.
+	st := refComputePaths(c, sources, scale, 1)
 	res.AvgPathLen = st.AvgLen
 	res.PathLenDist = st.Dist
 	res.Diameter = st.Diameter

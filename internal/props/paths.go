@@ -3,8 +3,10 @@ package props
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"sgr/internal/graph"
+	"sgr/internal/parallel"
 )
 
 // csr is the path view of a graph: distinct neighbors in ascending order
@@ -92,12 +94,13 @@ type PathStats struct {
 	Exact bool
 }
 
-// pathPartial is one worker's accumulator.
-type pathPartial struct {
+// pathCounts is one worker's path-length statistics over the sources it
+// ran. They are integers (a count per length, a sum and a max), so the
+// per-worker partials merge in any order to the same values.
+type pathCounts struct {
 	lenCounts []int64
 	sumLen    int64
 	maxLen    int
-	bc        []float64
 }
 
 // pathWorkspace holds per-worker Brandes state, reused across sources.
@@ -110,16 +113,55 @@ type pathPartial struct {
 type pathWorkspace struct {
 	dist      []int32
 	sigma     []float64
-	delta     []float64
 	queue     []int32
 	succ      []int32
 	succStart []int32
 }
 
+// pathWorker is one worker's workspace and statistics. The trailing pad
+// keeps the counts, written once per reached node, off the cache line of
+// the next worker's struct when the structs are allocated back to back.
+type pathWorker struct {
+	ws     pathWorkspace
+	counts pathCounts
+	_      [64]byte
+}
+
+// rowBudget caps the bytes of a block's dependency rows.
+const rowBudget = 16 << 20
+
+// blockRows is how many sources one block of computePaths runs. 32 rows
+// per worker keep the atomic claiming balanced; rowBudget caps the row
+// buffer on large components, but never below 2 rows per worker — the
+// 2*workers*n floats that one bc and one delta array per worker took.
+func blockRows(n, nsources, workers int) int {
+	rows := 32 * workers
+	if most := rowBudget / (8 * n); rows > most {
+		rows = most
+	}
+	if rows < 2*workers {
+		rows = 2 * workers
+	}
+	if rows > nsources {
+		rows = nsources
+	}
+	return rows
+}
+
 // computePaths runs Brandes' algorithm (which yields distances as a side
-// effect) from each source, in parallel, and merges the partials
-// deterministically. sources must be non-empty. scale multiplies the
-// betweenness contribution of each source (used by pivot approximation).
+// effect) from each source, in parallel, and returns the same bits at any
+// worker count. c must be connected (Compute passes the LCC), so every
+// source reaches, and writes the dependency row entry of, every node.
+// sources must be non-empty. scale multiplies the betweenness contribution
+// of each source (used by pivot approximation).
+//
+// Betweenness is the sum over sources, in source order, of scale*delta_s[v]
+// for v != s — the float additions of one serial pass. The sources run in
+// blocks: inside a block, workers claim sources with an atomic cursor and
+// each source's backward pass writes its dependencies into the source's
+// own row of the block buffer. Then every v adds the block's rows in source
+// order, each worker owning a range of v. The integer path-length
+// statistics stay per worker.
 func computePaths(c *csr, sources []int32, scale float64, workers int) *PathStats {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -127,41 +169,61 @@ func computePaths(c *csr, sources []int32, scale float64, workers int) *PathStat
 	if workers > len(sources) {
 		workers = len(sources)
 	}
-	partials := make([]*pathPartial, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			p := &pathPartial{
-				lenCounts: make([]int64, 64),
-				bc:        make([]float64, c.n),
-			}
-			ws := &pathWorkspace{
-				dist:      make([]int32, c.n),
-				sigma:     make([]float64, c.n),
-				delta:     make([]float64, c.n),
-				queue:     make([]int32, 0, c.n),
+	n := c.n
+	rows := blockRows(n, len(sources), workers)
+	buf := make([]float64, rows*n)
+	pws := make([]*pathWorker, workers)
+	for w := range pws {
+		pws[w] = &pathWorker{
+			ws: pathWorkspace{
+				dist:      make([]int32, n),
+				sigma:     make([]float64, n),
+				queue:     make([]int32, 0, n),
 				succ:      make([]int32, len(c.nbr)),
-				succStart: make([]int32, c.n+1),
-			}
-			for i := w; i < len(sources); i += workers {
-				brandesFrom(c, sources[i], p, ws, scale)
-			}
-			partials[w] = p
-		}(w)
+				succStart: make([]int32, n+1),
+			},
+			counts: pathCounts{lenCounts: make([]int64, 64)},
+		}
 	}
-	wg.Wait()
-	return mergePaths(partials, c.n, len(sources))
+	bc := make([]float64, n)
+	for base := 0; base < len(sources); base += rows {
+		blk := sources[base:min(base+rows, len(sources))]
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for _, pw := range pws {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for j := int(next.Add(1)) - 1; j < len(blk); j = int(next.Add(1)) - 1 {
+					brandesFrom(c, blk[j], &pw.ws, &pw.counts, buf[j*n:(j+1)*n])
+				}
+			}()
+		}
+		wg.Wait()
+		parallel.Blocks(workers, n, func(lo, hi int) {
+			out := bc[lo:hi]
+			for j, s := range blk {
+				row := buf[j*n+lo : j*n+hi]
+				for i, d := range row {
+					if lo+i != int(s) {
+						out[i] += scale * d
+					}
+				}
+			}
+		})
+	}
+	return mergeCounts(pws, bc, len(sources))
 }
 
-// mergePaths folds the per-worker partials, in worker order, into the
-// statistics of an n-node component explored from nsources sources.
-func mergePaths(partials []*pathPartial, n, nsources int) *PathStats {
-	st := &PathStats{Dist: make(map[int]float64), Betweenness: make([]float64, n)}
+// mergeCounts folds the workers' path-length counts into the statistics of
+// the component explored from nsources sources, whose betweenness is bc.
+func mergeCounts(pws []*pathWorker, bc []float64, nsources int) *PathStats {
+	n := len(bc)
+	st := &PathStats{Dist: make(map[int]float64), Betweenness: bc}
 	var totalPairs, sumLen int64
 	lenCounts := make([]int64, 0)
-	for _, p := range partials {
+	for _, pw := range pws {
+		p := &pw.counts
 		if p.maxLen > st.Diameter {
 			st.Diameter = p.maxLen
 		}
@@ -172,9 +234,6 @@ func mergePaths(partials []*pathPartial, n, nsources int) *PathStats {
 			}
 			lenCounts[l] += cnt
 			totalPairs += cnt
-		}
-		for v := range p.bc {
-			st.Betweenness[v] += p.bc[v]
 		}
 	}
 	if totalPairs > 0 {
@@ -190,8 +249,10 @@ func mergePaths(partials []*pathPartial, n, nsources int) *PathStats {
 	return st
 }
 
-// brandesFrom runs one Brandes iteration from source s, accumulating path
-// length counts (ordered pairs s -> t) and dependency scores into p.
+// brandesFrom runs one Brandes iteration from source s: it adds the path
+// length counts of the ordered pairs s -> t to p and writes the dependency
+// delta_s[v] of every node s reaches into delta (the source's own entry
+// is not betweenness).
 //
 // The forward BFS counts shortest paths and records every DAG arc in the
 // workspace's successor buffer; the backward pass walks only those arcs, so
@@ -200,10 +261,9 @@ func mergePaths(partials []*pathPartial, n, nsources int) *PathStats {
 // += sigma[u]*m in arc order, then delta[u] += sigma[u]*m/sigma[v]*(1+delta[v])
 // over u's successors in ascending arc order — so results are bit-identical
 // to it (TestBrandesMatchesFrozen).
-func brandesFrom(c *csr, s int32, p *pathPartial, ws *pathWorkspace, scale float64) {
+func brandesFrom(c *csr, s int32, ws *pathWorkspace, p *pathCounts, delta []float64) {
 	dist := ws.dist
 	sigma := ws.sigma
-	delta := ws.delta
 	succ := ws.succ
 	succStart := ws.succStart
 	for i := range dist {
@@ -260,9 +320,6 @@ func brandesFrom(c *csr, s int32, p *pathPartial, ws *pathWorkspace, scale float
 			du += su * float64(c.mult[e]) / sigma[v] * (1 + delta[v])
 		}
 		delta[u] = du
-		if u != s {
-			p.bc[u] += scale * du
-		}
 	}
 	ws.queue = queue
 }

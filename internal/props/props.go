@@ -16,7 +16,8 @@ type Options struct {
 	// Pivots is the number of sampled sources in approximate mode
 	// (default 1000).
 	Pivots int
-	// Workers bounds parallelism (default GOMAXPROCS).
+	// Workers bounds parallelism (default GOMAXPROCS). It changes no
+	// bit of any result.
 	Workers int
 	// Rand picks pivots; nil selects evenly spaced sources, which keeps
 	// results deterministic.
@@ -56,9 +57,8 @@ type Result struct {
 }
 
 // Compute evaluates all 12 properties of g. Options.Workers bounds every
-// parallel loop; the results are identical at any worker count except the
-// betweenness floats of computePaths, which merge per-worker partials and
-// are deterministic only for a fixed Workers value.
+// parallel loop; the results are bit-identical at any worker count (the
+// betweenness floats merge in source order, as one serial pass adds them).
 func Compute(g *graph.Graph, opts Options) *Result {
 	opts = opts.withDefaults()
 	// One shared CSR snapshot feeds every property below; building (or

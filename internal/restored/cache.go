@@ -69,9 +69,8 @@ func (r *Result) Graph() (*graph.Graph, error) {
 }
 
 // Props computes (once) the 12 structural properties of the restored graph
-// and memoizes their JSON rendering. The worker count is fixed by the
-// service configuration, which keeps the betweenness float merges — and so
-// the cached bytes — deterministic for a given deployment.
+// and memoizes their JSON rendering. workers bounds the computation's CPU;
+// the bytes are the same at any value.
 func (r *Result) Props(workers int) ([]byte, error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -125,7 +125,7 @@ func TestHTTPSubmitPollDownload(t *testing.T) {
 	}
 
 	// Props download: the 12 properties of the restored graph, computed at
-	// the service's deterministic worker bound.
+	// the service's worker bound.
 	code, propsBody, _ := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/props")
 	if code != http.StatusOK {
 		t.Fatalf("props download: HTTP %d", code)
@@ -145,6 +145,30 @@ func TestHTTPSubmitPollDownload(t *testing.T) {
 	}
 	if svc.PipelineRuns() != 1 {
 		t.Fatalf("pipeline runs = %d", svc.PipelineRuns())
+	}
+}
+
+// TestPropsBytesIndependentOfPropsWorkers serves the same job from two
+// daemons, one computing /props serially and one at three workers: the
+// bytes must be equal, because PropsWorkers bounds CPU, not the result.
+func TestPropsBytesIndependentOfPropsWorkers(t *testing.T) {
+	_, c := testGraphAndCrawl(t, 3, 0.3)
+	var bodies [][]byte
+	for _, workers := range []int{1, 3} {
+		svc, ts := startHTTP(t, Config{PropsWorkers: workers})
+		if svc.PropsWorkers() != workers {
+			t.Fatalf("PropsWorkers() = %d, want %d", svc.PropsWorkers(), workers)
+		}
+		_, st := postJob(t, ts.URL, &JobSpec{Seed: 3, RC: 5, Crawl: crawlJSONBytes(t, c)})
+		pollDone(t, ts.URL, st.ID)
+		code, body, _ := getBody(t, ts.URL+"/v1/jobs/"+st.ID+"/props")
+		if code != http.StatusOK {
+			t.Fatalf("props workers=%d: HTTP %d", workers, code)
+		}
+		bodies = append(bodies, body)
+	}
+	if !bytes.Equal(bodies[0], bodies[1]) {
+		t.Fatal("/props bytes differ between PropsWorkers 1 and 3")
 	}
 }
 

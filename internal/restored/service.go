@@ -33,9 +33,8 @@ type Config struct {
 	// unfinished ones, so a crash mid-pipeline loses no accepted work.
 	CacheDir string
 	// PropsWorkers bounds the parallel loops of /props property
-	// computation (default 1: results are then deterministic regardless
-	// of the host's core count, the same reasoning as the evaluation
-	// harness's per-cell default).
+	// computation (default 1: the daemon's parallelism unit is the job).
+	// It bounds CPU only: the /props bytes are identical at any value.
 	PropsWorkers int
 	// RewireWorkers bounds the propose-phase parallelism of each job's
 	// phase-4 rewiring (default 1: the daemon's parallelism unit is the
@@ -879,7 +878,7 @@ func (s *Service) crawlGraphd(ps *jobSpec) (*sampling.Crawl, []byte, error) {
 	return c, canon, nil
 }
 
-// PropsWorkers exposes the configured /props determinism bound.
+// PropsWorkers exposes the configured /props worker bound.
 func (s *Service) PropsWorkers() int { return s.cfg.PropsWorkers }
 
 // PipelineRuns reports how many jobs ran the full pipeline — the counter
