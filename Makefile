@@ -10,7 +10,7 @@ BENCHTIME ?= 5x
 # anything (queries/s especially).
 ORACLE_BENCHTIME ?= 2000x
 
-.PHONY: build test race examples bench bench-json bench-gate bench-oracle-json bench-props-json bench-restored-json bench-load-json oracle-e2e restored-e2e loadgen-e2e chaos trace-demo lint fuzz ci
+.PHONY: build test race examples bench bench-json bench-gate bench-oracle-json bench-props-json bench-restored-json bench-load-json oracle-e2e restored-e2e loadgen-e2e chaos trace-demo lint fuzz sgrbench-test ci
 
 build:
 	$(GO) build ./...
@@ -160,6 +160,12 @@ lint:
 	else \
 		echo "govulncheck not installed; skipped (CI runs it)"; fi
 
+# The end-to-end benchmark's own self-tests (byte identity of its outputs,
+# the L1 checks) at tiny sizes. sgrbench is a separate module, so the
+# repository's `go test ./...` never runs them.
+sgrbench-test:
+	cd sgrbench && $(GO) test ./...
+
 # Short fuzz smoke of the native fuzz targets.
 fuzz:
 	$(GO) test ./internal/core -run='^FuzzFenwick$$' -fuzz='^FuzzFenwick$$' -fuzztime=$(FUZZTIME)
@@ -167,4 +173,4 @@ fuzz:
 	$(GO) test ./internal/restored -run='^FuzzCacheKeyCanonicalization$$' -fuzz='^FuzzCacheKeyCanonicalization$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/restored -run='^FuzzJobJournal$$' -fuzz='^FuzzJobJournal$$' -fuzztime=$(FUZZTIME)
 
-ci: lint build test examples race fuzz bench oracle-e2e restored-e2e loadgen-e2e chaos
+ci: lint build test sgrbench-test examples race fuzz bench oracle-e2e restored-e2e loadgen-e2e chaos

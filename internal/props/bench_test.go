@@ -73,7 +73,7 @@ func BenchmarkBrandesAllSources(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		computePaths(c, sources, 1, 0)
+		computePaths(c, sources, 1, 0, 0)
 	}
 }
 
@@ -84,7 +84,7 @@ func BenchmarkBrandesAllSourcesSerial(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		computePaths(c, sources, 1, 1)
+		computePaths(c, sources, 1, 1, 0)
 	}
 }
 

@@ -1,7 +1,7 @@
 package props
 
-// Frozen arc-rescanning Brandes kernel and the differential test pinning
-// the successor-list kernel in paths.go to it, float bit for float bit.
+// Frozen arc-rescanning Brandes kernel and the differential tests pinning
+// the bit-parallel lane kernel in paths.go to it, float bit for float bit.
 // refCompute (csrdiff_test.go) runs the same frozen kernel, so the
 // whole-pipeline differential test guards it too. The frozen driver keeps
 // the per-worker accumulator and worker-order float merge that
@@ -17,6 +17,7 @@ import (
 	"testing"
 
 	"sgr/internal/gen"
+	"sgr/internal/graph"
 )
 
 // pathPartial is one worker's accumulator.
@@ -62,8 +63,8 @@ func mergePaths(partials []*pathPartial, n, nsources int) *PathStats {
 	return st
 }
 
-// refPathWorkspace is the frozen per-worker state, with the separate
-// order buffer the successor-list kernel dropped.
+// refPathWorkspace is the frozen per-worker state: distances, path
+// counts, dependencies and the BFS order, for one source at a time.
 type refPathWorkspace struct {
 	dist  []int32
 	sigma []float64
@@ -172,8 +173,8 @@ func refComputePaths(c *csr, sources []int32, scale float64, workers int) *PathS
 // serially, bit for bit — AvgLen, every P(l) entry and every betweenness
 // float — on the multigraph corpus and the golden anybeat stand-in, in
 // exact and pivot mode (pivot mode exercises scale != 1), at every tested
-// worker count: computePaths merges in source order, so its bits do not
-// depend on the worker count.
+// lane width and worker count: computePaths merges in source order and its
+// sigmas are exact, so its bits depend on neither.
 func TestBrandesMatchesFrozen(t *testing.T) {
 	graphs := diffGraphs()
 	graphs["anybeat"] = goldenGraph(t)
@@ -200,18 +201,115 @@ func TestBrandesMatchesFrozen(t *testing.T) {
 				scale = float64(c.n) / float64(len(sources))
 			}
 			want := refComputePaths(c, sources, scale, 1)
-			for _, workers := range []int{1, 2, 3, 5} {
-				got := computePaths(c, sources, scale, workers)
-				samePaths(t, fmt.Sprintf("%s %s workers=%d", name, mode.name, workers), got, want)
+			for _, lanes := range []int{1, 7, 64} {
+				for _, workers := range []int{1, 2, 3, 5} {
+					got := computePaths(c, sources, scale, workers, lanes)
+					samePaths(t, fmt.Sprintf("%s %s lanes=%d workers=%d", name, mode.name, lanes, workers), got, want)
+				}
 			}
 		}
 	}
 }
 
+// TestBrandesSoloLanesMatchFrozen runs a 40x40 grid, whose corner-to-corner
+// path counts (C(78,39) ~ 2^74) pass 2^53, so the batched sigmas round and
+// the affected lanes of a wider batch take the one-lane path. It checks
+// that the kernel flags such lanes and that the bits still equal the
+// serial frozen kernel's at every lane width, one-lane batches included.
+func TestBrandesSoloLanesMatchFrozen(t *testing.T) {
+	const side = 40
+	g := graph.New(side * side)
+	for r := 0; r < side; r++ {
+		for col := 0; col < side; col++ {
+			if col+1 < side {
+				g.AddEdge(r*side+col, r*side+col+1)
+			}
+			if r+1 < side {
+				g.AddEdge(r*side+col, (r+1)*side+col)
+			}
+		}
+	}
+	c, _ := lccCSR(g)
+	sources := pickSources(c.n, Options{ExactThreshold: c.n}.withDefaults())
+	lw := newLaneWorker(c.n, maxLanes)
+	if big := lw.batch(c, sources[:maxLanes], make([]float64, maxLanes*c.n), maxLanes, nil); big == 0 {
+		t.Fatal("no lane of the first batch reached 2^53")
+	}
+	want := refComputePaths(c, sources, 1, 1)
+	for _, lanes := range []int{1, 7, 64} {
+		for _, workers := range []int{1, 2} {
+			got := computePaths(c, sources, 1, workers, lanes)
+			samePaths(t, fmt.Sprintf("grid lanes=%d workers=%d", lanes, workers), got, want)
+		}
+	}
+}
+
+// TestBrandesSoloLaneWitness shows that the one-lane rerun is needed. w's
+// predecessors at level 6 of source s's BFS are A, with 2^60 paths, and
+// the ends of 64 chains with 128 paths each. s's own BFS queue has A
+// first, and 2^60+128 rounds back to 2^60 every time; in a batch with t,
+// whose BFS reaches the chain ends first, the entries put A last and the
+// sum is the exact 2^60+2^13. The batch must flag s's lane, its
+// unrepeated dependencies must differ from the one-lane run's, and
+// computePaths must still match the frozen kernel — which it does not
+// without the rerun.
+func TestBrandesSoloLaneWitness(t *testing.T) {
+	const chains, depth = 64, 6
+	// Labels: s = 0; A's chain 1..6; small chain k at 7+6k..12+6k; then
+	// w, t, and t's chain y1..y5, whose last node is adjacent to every
+	// small chain's end, so t reaches them at level 6 too.
+	const s, w, t0 = 0, 1 + depth*(chains+1), 2 + depth*(chains+1)
+	g := graph.New(t0 + depth)
+	edge := func(u, v, mult int) {
+		for i := 0; i < mult; i++ {
+			g.AddEdge(u, v)
+		}
+	}
+	for k := 0; k <= chains; k++ {
+		prev := s
+		for d := 0; d < depth; d++ {
+			m := 1024 // A's chain: 1024^6 = 2^60 paths
+			if k > 0 {
+				m = 1 // a small chain: 128 paths, half an ulp of 2^60
+				if d == 0 {
+					m = 128
+				}
+			}
+			node := 1 + depth*k + d
+			edge(prev, node, m)
+			prev = node
+		}
+		edge(prev, w, 1)
+		if k > 0 {
+			edge(t0+depth-1, prev, 1)
+		}
+	}
+	for y := t0; y < t0+depth-1; y++ {
+		edge(y, y+1, 1)
+	}
+
+	c := newCSR(g)
+	srcs := []int32{t0, s}
+	lw := newLaneWorker(c.n, len(srcs))
+	batched := make([]float64, len(srcs)*c.n)
+	if big := lw.batch(c, srcs, batched, len(srcs), nil); big&0b10 == 0 {
+		t.Fatalf("lanes past 2^53 = %b, s's lane not among them", big)
+	}
+	alone := make([]float64, c.n)
+	lw.batch(c, srcs[1:], alone, 1, nil)
+	differ := false
+	for v := range alone {
+		differ = differ || math.Float64bits(alone[v]) != math.Float64bits(batched[v*len(srcs)+1])
+	}
+	if !differ {
+		t.Error("the batched dependencies of s equal the one-lane run's; the witness lost its rounding")
+	}
+	samePaths(t, "witness", computePaths(c, srcs, 1, 1, len(srcs)), refComputePaths(c, srcs, 1, 1))
+}
+
 // TestBrandesRowBudgetMatchesFrozen runs a component large enough that
-// rowBudget binds (fewer than 32 rows per worker, so a block holds fewer
-// sources than the workers would claim), in pivot mode with several
-// blocks, and pins it to the serial frozen kernel.
+// rowBudget binds (fewer than maxLanes lanes per batch), in pivot mode
+// with several blocks, and pins it to the serial frozen kernel.
 func TestBrandesRowBudgetMatchesFrozen(t *testing.T) {
 	g := gen.HolmeKim(40000, 2, 0.3, rng(21))
 	c, _ := lccCSR(g)
@@ -220,30 +318,41 @@ func TestBrandesRowBudgetMatchesFrozen(t *testing.T) {
 	scale := float64(c.n) / float64(len(sources))
 	want := refComputePaths(c, sources, scale, 1)
 	for _, workers := range []int{2, 3, 5} {
-		rows := blockRows(c.n, len(sources), workers)
-		if rows >= 32*workers || rows >= len(sources) {
-			t.Fatalf("workers=%d: %d rows per block for n=%d; the budget does not bind", workers, rows, c.n)
+		lanes := laneLayout(c.n, len(sources), workers)
+		if lanes >= maxLanes || lanes*workers >= len(sources) {
+			t.Fatalf("workers=%d: %d lanes for n=%d; the budget does not bind", workers, lanes, c.n)
 		}
-		got := computePaths(c, sources, scale, workers)
+		got := computePaths(c, sources, scale, workers, 0)
 		samePaths(t, fmt.Sprintf("budget workers=%d", workers), got, want)
 	}
 }
 
-// TestBlockRowsFloor checks the row-count arithmetic without allocating
-// rows: a million-node component in pivot mode gets the 2-rows-per-worker
-// floor, never 32 per worker, and a block never exceeds the source count.
-func TestBlockRowsFloor(t *testing.T) {
+// TestLaneLayoutBudget checks the lane arithmetic without allocating a
+// slot: a block's dependency slots fit rowBudget whenever one lane per
+// worker does, a million-node component still gets one lane, small
+// components get the full width, and no batch is wider than an even share
+// of the sources.
+func TestLaneLayoutBudget(t *testing.T) {
 	for _, tc := range []struct{ n, sources, workers, want int }{
-		{1 << 20, 1000, 2, 4},
-		{1 << 20, 1000, 8, 16},
+		{1 << 20, 1000, 1, 2},
+		{1 << 20, 1000, 2, 1},
+		{1 << 20, 1000, 8, 1},
+		{40000, 120, 2, 26},
 		{3161, 3161, 2, 64},
-		{3161, 3161, 1, 32},
-		{3161, 10, 2, 10},
-		{100000, 1000, 4, 20},
+		{3161, 3161, 8, 64},
+		{3161, 10, 2, 5},
+		{3161, 1, 4, 1},
 	} {
-		if got := blockRows(tc.n, tc.sources, tc.workers); got != tc.want {
-			t.Errorf("blockRows(%d, %d, %d) = %d, want %d", tc.n, tc.sources, tc.workers, got, tc.want)
+		got := laneLayout(tc.n, tc.sources, tc.workers)
+		if got != tc.want {
+			t.Errorf("laneLayout(%d, %d, %d) = %d, want %d", tc.n, tc.sources, tc.workers, got, tc.want)
 		}
+		if slots := 8 * got * tc.n * tc.workers; got > 1 && slots > rowBudget {
+			t.Errorf("laneLayout(%d, %d, %d): %d slot bytes over the %d budget", tc.n, tc.sources, tc.workers, slots, rowBudget)
+		}
+	}
+	if a := testing.AllocsPerRun(10, func() { laneLayout(1<<20, 1000, 2) }); a != 0 {
+		t.Errorf("laneLayout allocates %v times", a)
 	}
 }
 

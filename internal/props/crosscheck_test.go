@@ -152,7 +152,7 @@ func TestBetweennessMatchesNaive(t *testing.T) {
 		for i := range sources {
 			sources[i] = int32(i)
 		}
-		st := computePaths(c, sources, 1, 4)
+		st := computePaths(c, sources, 1, 4, 0)
 		for v := range want {
 			if math.Abs(st.Betweenness[v]-want[v]) > 1e-6*(1+want[v]) {
 				t.Fatalf("trial %d: bc[%d] = %v want %v", trial, v, st.Betweenness[v], want[v])
@@ -172,7 +172,7 @@ func TestBetweennessMatchesNaiveOnMultigraph(t *testing.T) {
 	want := naiveBetweenness(g)
 	c := newCSR(g)
 	sources := []int32{0, 1, 2, 3, 4}
-	st := computePaths(c, sources, 1, 2)
+	st := computePaths(c, sources, 1, 2, 0)
 	for v := range want {
 		if math.Abs(st.Betweenness[v]-want[v]) > 1e-9 {
 			t.Fatalf("bc[%d] = %v want %v (all got=%v want=%v)", v, st.Betweenness[v], want[v], st.Betweenness, want)

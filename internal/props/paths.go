@@ -1,6 +1,7 @@
 package props
 
 import (
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -103,127 +104,146 @@ type pathCounts struct {
 	maxLen    int
 }
 
-// pathWorkspace holds per-worker Brandes state, reused across sources.
-// queue is the BFS order, which is also the order the backward pass
-// reverses. succ is the successor buffer: the forward pass appends the CSR
-// index of every shortest-path DAG arc (u -> v with dist[v] == dist[u]+1),
-// and the arcs of queue[i] occupy succ[succStart[i]:succStart[i+1]] in
-// ascending arc order. Each arc is recorded at most once per source, so
-// succ is sized once to len(c.nbr).
-type pathWorkspace struct {
-	dist      []int32
-	sigma     []float64
-	queue     []int32
-	succ      []int32
-	succStart []int32
-}
+// maxLanes is the widest batch: one bit of a uint64 lane mask per source.
+const maxLanes = 64
 
-// pathWorker is one worker's workspace and statistics. The trailing pad
-// keeps the counts, written once per reached node, off the cache line of
-// the next worker's struct when the structs are allocated back to back.
-type pathWorker struct {
-	ws     pathWorkspace
-	counts pathCounts
-	_      [64]byte
-}
-
-// rowBudget caps the bytes of a block's dependency rows.
+// rowBudget caps the bytes of one block's dependency slots.
 const rowBudget = 16 << 20
 
-// blockRows is how many sources one block of computePaths runs. 32 rows
-// per worker keep the atomic claiming balanced; rowBudget caps the row
-// buffer on large components, but never below 2 rows per worker — the
-// 2*workers*n floats that one bc and one delta array per worker took.
-func blockRows(n, nsources, workers int) int {
-	rows := 32 * workers
-	if most := rowBudget / (8 * n); rows > most {
-		rows = most
+// sigmaExact bounds the path counts a batch computes exactly. Every sigma
+// is a sum of products of integers; while each stays below 2^53 every
+// partial sum is an exactly representable integer, so its bits do not
+// depend on the order of the additions.
+const sigmaExact = 1 << 53
+
+// laneEntry is one node of one BFS level of a batch, with the mask of the
+// lanes whose source reaches it at that level.
+type laneEntry struct {
+	v    int32
+	mask uint64
+}
+
+// laneWorker is one worker's batch state, reused across batches. seen and
+// next are per-node lane masks (next is all zero between levels and between
+// batches); sigma is node-major, one float per lane of the current batch;
+// entries holds the BFS levels back to back, level d starting at
+// entries[levels[d]]. The trailing pad keeps the counts off the cache line
+// of the next worker's struct when the structs are allocated back to back.
+type laneWorker struct {
+	seen    []uint64
+	next    []uint64
+	sigma   []float64
+	entries []laneEntry
+	levels  []int
+	counts  pathCounts
+	_       [64]byte
+}
+
+// newLaneWorker allocates the state for batches of up to lanes sources on
+// an n-node component; sigma is as large as one dependency slot.
+func newLaneWorker(n, lanes int) *laneWorker {
+	return &laneWorker{
+		seen:    make([]uint64, n),
+		next:    make([]uint64, n),
+		sigma:   make([]float64, lanes*n),
+		entries: make([]laneEntry, 0, 2*n),
+		counts:  pathCounts{lenCounts: make([]int64, 64)},
 	}
-	if rows < 2*workers {
-		rows = 2 * workers
-	}
-	if rows > nsources {
-		rows = nsources
-	}
-	return rows
+}
+
+// laneLayout picks the lanes per batch of computePaths. A block runs one
+// batch per worker, and each batch writes a node-major slot of lanes*n
+// dependencies, so lanes is the widest batch (up to maxLanes) for which
+// the block's slots fit rowBudget — but at least one lane (once n*workers
+// passes 2^21 the one-lane slots exceed the budget), and no wider than an
+// even share of the sources, so every worker gets a batch.
+func laneLayout(n, nsources, workers int) int {
+	lanes := rowBudget / (8 * n * workers)
+	lanes = min(lanes, maxLanes, (nsources+workers-1)/workers)
+	return max(lanes, 1)
 }
 
 // computePaths runs Brandes' algorithm (which yields distances as a side
 // effect) from each source, in parallel, and returns the same bits at any
-// worker count. c must be connected (Compute passes the LCC), so every
-// source reaches, and writes the dependency row entry of, every node.
-// sources must be non-empty. scale multiplies the betweenness contribution
-// of each source (used by pivot approximation).
+// worker count and lane width. c must be connected (Compute passes the
+// LCC), so every source reaches, and writes the dependency of, every node.
+// sources must be non-empty and distinct. scale multiplies the betweenness
+// contribution of each source (used by pivot approximation). lanes is the
+// number of sources one kernel call runs (1..maxLanes); 0 lets laneLayout
+// pick it.
 //
 // Betweenness is the sum over sources, in source order, of scale*delta_s[v]
 // for v != s — the float additions of one serial pass. The sources run in
-// blocks: inside a block, workers claim sources with an atomic cursor and
-// each source's backward pass writes its dependencies into the source's
-// own row of the block buffer. Then every v adds the block's rows in source
-// order, each worker owning a range of v. The integer path-length
-// statistics stay per worker.
-func computePaths(c *csr, sources []int32, scale float64, workers int) *PathStats {
+// batches of lanes consecutive sources and the batches in blocks of one
+// batch per worker: inside a block, workers claim batches with an atomic
+// cursor and each batch writes its dependencies into its own node-major
+// slot of the block buffer. Then every v adds the block's slots in batch
+// order and each slot's lanes in lane order — source order — each worker
+// owning a range of v. The integer path-length statistics stay per worker.
+func computePaths(c *csr, sources []int32, scale float64, workers, lanes int) *PathStats {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > len(sources) {
-		workers = len(sources)
-	}
 	n := c.n
-	rows := blockRows(n, len(sources), workers)
-	buf := make([]float64, rows*n)
-	pws := make([]*pathWorker, workers)
-	for w := range pws {
-		pws[w] = &pathWorker{
-			ws: pathWorkspace{
-				dist:      make([]int32, n),
-				sigma:     make([]float64, n),
-				queue:     make([]int32, 0, n),
-				succ:      make([]int32, len(c.nbr)),
-				succStart: make([]int32, n+1),
-			},
-			counts: pathCounts{lenCounts: make([]int64, 64)},
-		}
+	if lanes <= 0 {
+		lanes = laneLayout(n, len(sources), workers)
+	}
+	lanes = min(lanes, maxLanes, len(sources))
+	span := lanes * workers
+	if span > len(sources) {
+		workers = (len(sources) + lanes - 1) / lanes
+		span = lanes * workers
+	}
+	buf := make([]float64, span*n)
+	lws := make([]*laneWorker, workers)
+	for w := range lws {
+		lws[w] = newLaneWorker(n, lanes)
 	}
 	bc := make([]float64, n)
-	for base := 0; base < len(sources); base += rows {
-		blk := sources[base:min(base+rows, len(sources))]
+	for base := 0; base < len(sources); base += span {
+		blk := sources[base:min(base+span, len(sources))]
+		batches := (len(blk) + lanes - 1) / lanes
 		var next atomic.Int64
 		var wg sync.WaitGroup
-		for _, pw := range pws {
+		for _, lw := range lws {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for j := int(next.Add(1)) - 1; j < len(blk); j = int(next.Add(1)) - 1 {
-					brandesFrom(c, blk[j], &pw.ws, &pw.counts, buf[j*n:(j+1)*n])
+				for j := int(next.Add(1)) - 1; j < batches; j = int(next.Add(1)) - 1 {
+					srcs := blk[j*lanes : min((j+1)*lanes, len(blk))]
+					lw.run(c, srcs, buf[j*lanes*n:(j+1)*lanes*n], lanes)
 				}
 			}()
 		}
 		wg.Wait()
 		parallel.Blocks(workers, n, func(lo, hi int) {
-			out := bc[lo:hi]
-			for j, s := range blk {
-				row := buf[j*n+lo : j*n+hi]
-				for i, d := range row {
-					if lo+i != int(s) {
-						out[i] += scale * d
+			for v := lo; v < hi; v++ {
+				acc := bc[v]
+				for j := 0; j < batches; j++ {
+					srcs := blk[j*lanes : min((j+1)*lanes, len(blk))]
+					slot := buf[(j*n+v)*lanes:]
+					for l, s := range srcs {
+						if int(s) != v {
+							acc += scale * slot[l]
+						}
 					}
 				}
+				bc[v] = acc
 			}
 		})
 	}
-	return mergeCounts(pws, bc, len(sources))
+	return mergeCounts(lws, bc, len(sources))
 }
 
 // mergeCounts folds the workers' path-length counts into the statistics of
 // the component explored from nsources sources, whose betweenness is bc.
-func mergeCounts(pws []*pathWorker, bc []float64, nsources int) *PathStats {
+func mergeCounts(lws []*laneWorker, bc []float64, nsources int) *PathStats {
 	n := len(bc)
 	st := &PathStats{Dist: make(map[int]float64), Betweenness: bc}
 	var totalPairs, sumLen int64
 	lenCounts := make([]int64, 0)
-	for _, pw := range pws {
-		p := &pw.counts
+	for _, lw := range lws {
+		p := &lw.counts
 		if p.maxLen > st.Diameter {
 			st.Diameter = p.maxLen
 		}
@@ -249,77 +269,158 @@ func mergeCounts(pws []*pathWorker, bc []float64, nsources int) *PathStats {
 	return st
 }
 
-// brandesFrom runs one Brandes iteration from source s: it adds the path
-// length counts of the ordered pairs s -> t to p and writes the dependency
-// delta_s[v] of every node s reaches into delta (the source's own entry
-// is not betweenness).
-//
-// The forward BFS counts shortest paths and records every DAG arc in the
-// workspace's successor buffer; the backward pass walks only those arcs, so
-// it never re-scans a row or re-tests a distance. The float operations and
-// their order are those of the arc-rescanning kernel it replaced — sigma[v]
-// += sigma[u]*m in arc order, then delta[u] += sigma[u]*m/sigma[v]*(1+delta[v])
-// over u's successors in ascending arc order — so results are bit-identical
-// to it (TestBrandesMatchesFrozen).
-func brandesFrom(c *csr, s int32, ws *pathWorkspace, p *pathCounts, delta []float64) {
-	dist := ws.dist
-	sigma := ws.sigma
-	succ := ws.succ
-	succStart := ws.succStart
-	for i := range dist {
-		dist[i] = -1
-		sigma[i] = 0
+// run computes the dependencies of the batch srcs into its slot delta
+// (delta_{srcs[l]}[v] at delta[v*stride+l]) and adds the batch's path
+// length counts to the worker's. A lane whose sigma reached sigmaExact is
+// run again on its own, whose additions are then exactly those of one
+// serial Brandes pass.
+func (lw *laneWorker) run(c *csr, srcs []int32, delta []float64, stride int) {
+	big := lw.batch(c, srcs, delta, stride, &lw.counts)
+	if len(srcs) == 1 {
+		return // a one-lane batch already adds in serial order
 	}
-	queue := ws.queue[:0]
+	for ; big != 0; big &= big - 1 {
+		l := bits.TrailingZeros64(big)
+		lw.batch(c, srcs[l:l+1], delta[l:], stride, nil)
+	}
+}
 
-	dist[s] = 0
-	sigma[s] = 1
-	queue = append(queue, s)
-	ns := int32(0)
-	for qi := 0; qi < len(queue); qi++ {
-		u := queue[qi]
-		succStart[qi] = ns
-		dv := dist[u] + 1
-		su := sigma[u]
-		lo, hi := c.offset[u], c.offset[u+1]
-		mult := c.mult[lo:hi]
-		for i, v := range c.nbr[lo:hi] {
-			if dist[v] < 0 {
-				dist[v] = dv
-				queue = append(queue, v)
+// batch runs Brandes' algorithm from up to maxLanes distinct sources at
+// once, source srcs[l] in lane l — the multi-source BFS of Then et al.
+// ("The More the Merrier", PVLDB 2014) carried through the backward pass.
+// It writes delta_{srcs[l]}[v] to delta[v*stride+l], adds the path-length
+// counts of every lane to p unless p is nil, and returns the mask of the
+// lanes in which some sigma reached sigmaExact.
+//
+// Each BFS level is a list of (node, lane mask) entries. Pass 1 scans the
+// rows of level d and collects next[w], the lanes that reach w first at
+// level d+1; pass 2 scans the same rows and adds sigma[u]*m to sigma[w] in
+// each lane of mask(u) & next[w]. The backward pass walks the levels in
+// descending order and sums sigma[u]*m/sigma[w]*(1+delta[w]) over u's row
+// in ascending arc order, in each lane where w lies one level deeper —
+// the terms, their order and the float expression of one serial Brandes
+// pass, so every delta has its bits whenever the sigmas are exact. In a
+// one-lane batch the entries of a level are in BFS queue order, so sigma
+// has the serial pass's bits too, exact or not.
+func (lw *laneWorker) batch(c *csr, srcs []int32, delta []float64, stride int, p *pathCounts) uint64 {
+	width := len(srcs)
+	seen, next := lw.seen, lw.next
+	sigma := lw.sigma[:width*c.n]
+	clear(seen)
+	clear(sigma)
+	ents := lw.entries[:0]
+	levels := append(lw.levels[:0], 0)
+	for l, s := range srcs {
+		seen[s] = 1 << l
+		sigma[int(s)*width+l] = 1
+		ents = append(ents, laneEntry{v: s, mask: 1 << l})
+	}
+	var big uint64
+	for d := 0; ; d++ {
+		lo, hi := levels[d], len(ents)
+		for _, e := range ents[lo:hi] {
+			for _, w := range c.nbr[c.offset[e.v]:c.offset[e.v+1]] {
+				if nw := e.mask &^ seen[w]; nw != 0 {
+					if next[w] == 0 {
+						ents = append(ents, laneEntry{v: w})
+					}
+					next[w] |= nw
+				}
 			}
-			if dist[v] == dv {
-				sigma[v] += su * float64(mult[i])
-				succ[ns] = lo + int32(i)
-				ns++
+		}
+		if len(ents) == hi {
+			break
+		}
+		levels = append(levels, hi)
+		for i := hi; i < len(ents); i++ {
+			w := ents[i].v
+			ents[i].mask = next[w]
+			seen[w] |= next[w]
+		}
+		for _, e := range ents[lo:hi] {
+			u := int(e.v)
+			su := sigma[u*width : u*width+width]
+			rlo, rhi := c.offset[u], c.offset[u+1]
+			mult := c.mult[rlo:rhi]
+			for i, w := range c.nbr[rlo:rhi] {
+				hit := e.mask & next[w]
+				if hit == 0 {
+					continue
+				}
+				m := float64(mult[i])
+				sw := sigma[int(w)*width : int(w)*width+width]
+				for ; hit != 0; hit &= hit - 1 {
+					l := bits.TrailingZeros64(hit)
+					sw[l] += su[l] * m
+				}
 			}
 		}
-	}
-	succStart[len(queue)] = ns
-	// Path-length statistics over ordered pairs (s, t), t != s; queue[0]
-	// is s.
-	for _, t := range queue[1:] {
-		l := int(dist[t])
-		for len(p.lenCounts) <= l {
-			p.lenCounts = append(p.lenCounts, 0)
+		pairs := 0
+		for _, e := range ents[hi:] {
+			next[e.v] = 0
+			pairs += bits.OnesCount64(e.mask)
+			sw := sigma[int(e.v)*width : int(e.v)*width+width]
+			for mk := e.mask; mk != 0; mk &= mk - 1 {
+				if l := bits.TrailingZeros64(mk); sw[l] >= sigmaExact {
+					big |= 1 << l
+				}
+			}
 		}
-		p.lenCounts[l]++
-		p.sumLen += int64(l)
-		if l > p.maxLen {
-			p.maxLen = l
+		if p != nil {
+			// Ordered pairs (s, t) at distance d+1, one per lane of each
+			// entry of the level.
+			l := d + 1
+			for len(p.lenCounts) <= l {
+				p.lenCounts = append(p.lenCounts, 0)
+			}
+			p.lenCounts[l] += int64(pairs)
+			p.sumLen += int64(l) * int64(pairs)
+			p.maxLen = max(p.maxLen, l)
 		}
 	}
-	// Dependency accumulation in reverse BFS order. delta[u] is written
-	// before any predecessor reads it, so it needs no reset.
-	for qi := len(queue) - 1; qi >= 0; qi-- {
-		u := queue[qi]
-		su := sigma[u]
-		du := 0.0
-		for _, e := range succ[succStart[qi]:succStart[qi+1]] {
-			v := c.nbr[e]
-			du += su * float64(c.mult[e]) / sigma[v] * (1 + delta[v])
+	levels = append(levels, len(ents))
+	// Dependency accumulation, deepest level first. lvl (the zeroed next
+	// array) holds the lane masks of level d+1 while level d runs, and
+	// every delta entry is written before a shallower level reads it, so
+	// the slot needs no reset.
+	lvl, end := next, len(ents)
+	for d := len(levels) - 2; d >= 0; d-- {
+		lo, hi := levels[d], levels[d+1]
+		for _, e := range ents[lo:hi] {
+			u := int(e.v)
+			su := sigma[u*width : u*width+width]
+			du := delta[u*stride : u*stride+width]
+			for mk := e.mask; mk != 0; mk &= mk - 1 {
+				du[bits.TrailingZeros64(mk)] = 0
+			}
+			rlo, rhi := c.offset[u], c.offset[u+1]
+			mult := c.mult[rlo:rhi]
+			for i, w := range c.nbr[rlo:rhi] {
+				hit := e.mask & lvl[w]
+				if hit == 0 {
+					continue
+				}
+				m := float64(mult[i])
+				sw := sigma[int(w)*width : int(w)*width+width]
+				dw := delta[int(w)*stride : int(w)*stride+width]
+				for ; hit != 0; hit &= hit - 1 {
+					l := bits.TrailingZeros64(hit)
+					du[l] += su[l] * m / sw[l] * (1 + dw[l])
+				}
+			}
 		}
-		delta[u] = du
+		for _, e := range ents[hi:end] {
+			lvl[e.v] = 0
+		}
+		for _, e := range ents[lo:hi] {
+			lvl[e.v] = e.mask
+		}
+		end = hi
 	}
-	ws.queue = queue
+	for _, e := range ents[:end] {
+		lvl[e.v] = 0
+	}
+	lw.entries = ents
+	lw.levels = levels
+	return big
 }

@@ -57,8 +57,12 @@ type Result struct {
 }
 
 // Compute evaluates all 12 properties of g. Options.Workers bounds every
-// parallel loop; the results are bit-identical at any worker count (the
-// betweenness floats merge in source order, as one serial pass adds them).
+// parallel loop; the results are bit-identical at any worker count. The
+// path properties come from the bit-parallel Brandes kernel, which runs up
+// to 64 sources per call with the float additions of one serial pass: its
+// path counts are exact integers (a lane whose counts reach 2^53 re-runs
+// alone, in serial order), its dependency sums keep the serial terms and
+// arc order, and the betweenness floats merge in source order.
 func Compute(g *graph.Graph, opts Options) *Result {
 	opts = opts.withDefaults()
 	// One shared CSR snapshot feeds every property below; building (or
@@ -92,7 +96,7 @@ func Compute(g *graph.Graph, opts Options) *Result {
 	if len(sources) < lcc.n {
 		scale = float64(lcc.n) / float64(len(sources))
 	}
-	st := computePaths(lcc, sources, scale, opts.Workers)
+	st := computePaths(lcc, sources, scale, opts.Workers, 0)
 	res.AvgPathLen = st.AvgLen
 	res.PathLenDist = st.Dist
 	res.Diameter = st.Diameter

@@ -472,7 +472,7 @@ func (s *Service) Cancel(id string) (*Job, error) {
 	if !picked {
 		// Still queued: settle now instead of waiting for a worker to
 		// drain it. If a worker picked it up in the window since the check,
-		// cancelFinish loses the race harmlessly — the worker's first
+		// settle loses the race harmlessly — the worker's first
 		// checkpoint sees the cancelled context instead.
 		s.finishCancel(j, errJobCancelled)
 	}
@@ -480,13 +480,20 @@ func (s *Service) Cancel(id string) (*Job, error) {
 }
 
 // finishCancel settles a job whose context fired. The guard in
-// cancelFinish makes the bookkeeping exactly-once no matter how many
+// settle makes the bookkeeping exactly-once no matter how many
 // paths (DELETE, deadline, worker checkpoint) observe the cancellation.
 func (s *Service) finishCancel(j *Job, cause error) {
-	if j.cancelFinish(cause) {
-		s.cancelled.Inc()
+	if j.settle(StateCancelled, nil, cause, false, s.cancelled) {
 		s.cfg.Logf("job %s: %v", shortKey(j.ID), cause)
 		s.walFinish(j.ID, StateCancelled)
+	}
+}
+
+// failJob settles a job that failed at step (crawl, pipeline, encode).
+func (s *Service) failJob(j *Job, step string, err error) {
+	if j.settle(StateFailed, nil, err, false, s.failed) {
+		s.cfg.Logf("job %s: %s failed: %v", shortKey(j.ID), step, err)
+		s.walFinish(j.ID, StateFailed)
 	}
 }
 
@@ -632,62 +639,34 @@ func (j *Job) releaseCtx() {
 	}
 }
 
-// finish, fail and cancelFinish are the three terminal transitions. Each
-// is guarded — the first one wins, later ones report false and change
-// nothing — so the cancellation races (DELETE vs worker completion vs
-// deadline) settle on exactly one outcome, one done-channel close, and
-// one WAL terminal record.
-
-func (j *Job) finish(res *Result, cached bool) bool {
+// settle is the one terminal transition: done (res, cached), failed or
+// cancelled (err). It is guarded — the first call wins, later ones report
+// false and change nothing — so the cancellation races (DELETE vs worker
+// completion vs deadline) settle on exactly one outcome, one done-channel
+// close, and one WAL terminal record. The tally counters are bumped before
+// the done channel closes, so a waiter woken by it reads them current.
+func (j *Job) settle(state string, res *Result, err error, cached bool, tally ...*obs.Counter) bool {
 	j.mu.Lock()
 	if terminalState(j.state) {
 		j.mu.Unlock()
 		return false
 	}
-	j.state, j.phase = StateDone, ""
-	j.res, j.cached = res, cached
-	j.finished = time.Now()
-	j.release()
-	j.mu.Unlock()
-	j.releaseCtx()
-	close(j.done)
-	return true
-}
-
-func (j *Job) fail(err error) bool {
-	j.mu.Lock()
-	if terminalState(j.state) {
-		j.mu.Unlock()
-		return false
-	}
-	j.state, j.phase = StateFailed, ""
-	j.err = err
-	j.finished = time.Now()
-	j.release()
-	j.mu.Unlock()
-	j.releaseCtx()
-	close(j.done)
-	return true
-}
-
-func (j *Job) cancelFinish(cause error) bool {
-	j.mu.Lock()
-	if terminalState(j.state) {
-		j.mu.Unlock()
-		return false
-	}
-	j.state, j.phase = StateCancelled, ""
-	j.err = cause
+	j.state, j.phase = state, ""
+	j.res, j.cached, j.err = res, cached, err
 	j.finished = time.Now()
 	j.release()
 	picked := j.picked
 	j.mu.Unlock()
 	if !picked {
-		// No worker will ever pick this job up (startPickup skips terminal
-		// jobs), so close its queue span here — exactly once either way.
+		// Cancelled while queued: no worker will ever pick this job up
+		// (startPickup skips terminal jobs), so close its queue span here —
+		// exactly once either way.
 		j.endQueue()
 	}
 	j.releaseCtx()
+	for _, c := range tally {
+		c.Inc()
+	}
 	close(j.done)
 	return true
 }
@@ -725,11 +704,7 @@ func (s *Service) run(j *Job) {
 		c, canon, err := s.crawlGraphd(j.spec)
 		endSpan()
 		if err != nil {
-			if j.fail(err) {
-				s.failed.Inc()
-				s.cfg.Logf("job %s: crawl failed: %v", shortKey(j.ID), err)
-				s.walFinish(j.ID, StateFailed)
-			}
+			s.failJob(j, "crawl", err)
 			return
 		}
 		crawl = c
@@ -745,9 +720,7 @@ func (s *Service) run(j *Job) {
 	res, ok := s.cache.Get(key)
 	endSpan()
 	if ok {
-		if j.finish(res, true) {
-			s.cacheHits.Inc()
-			s.completed.Inc()
+		if j.settle(StateDone, res, nil, true, s.cacheHits, s.completed) {
 			s.cfg.Logf("job %s: served from cache", shortKey(j.ID))
 			s.walFinish(j.ID, StateDone)
 		}
@@ -789,11 +762,7 @@ func (s *Service) run(j *Job) {
 			s.finishCancel(j, err)
 			return
 		}
-		if j.fail(err) {
-			s.failed.Inc()
-			s.cfg.Logf("job %s: pipeline failed: %v", shortKey(j.ID), err)
-			s.walFinish(j.ID, StateFailed)
-		}
+		s.failJob(j, "pipeline", err)
 		return
 	}
 	s.pipelineUS.Add(pres.TotalTime.Microseconds())
@@ -808,10 +777,7 @@ func (s *Service) run(j *Job) {
 	s.encodeUsec.Observe(time.Since(encStart).Microseconds())
 	endSpan()
 	if err != nil {
-		if j.fail(err) {
-			s.failed.Inc()
-			s.walFinish(j.ID, StateFailed)
-		}
+		s.failJob(j, "encode", err)
 		return
 	}
 	result := &Result{
@@ -834,8 +800,7 @@ func (s *Service) run(j *Job) {
 		// The result survives in memory; only persistence degraded.
 		s.cfg.Logf("job %s: cache persist failed: %v", shortKey(j.ID), err)
 	}
-	if j.finish(result, false) {
-		s.completed.Inc()
+	if j.settle(StateDone, result, nil, false, s.completed) {
 		s.cfg.Logf("job %s: restored n=%d m=%d in %.0fms", shortKey(j.ID),
 			result.Meta.Nodes, result.Meta.Edges, result.Meta.TotalMS)
 		s.walFinish(j.ID, StateDone)

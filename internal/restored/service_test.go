@@ -481,3 +481,71 @@ func TestQueueBackpressureAndShutdown(t *testing.T) {
 	// Close is idempotent.
 	svc.Close()
 }
+
+// TestCountersCurrentAtWakeUp reads the outcome counters straight after
+// each job's done channel closes, for all four terminal outcomes: a fresh
+// run, a cache hit, a failure and a cancellation settled by the worker.
+// Every counter a terminal transition bumps must already show the job
+// when a waiter wakes.
+func TestCountersCurrentAtWakeUp(t *testing.T) {
+	_, c := testGraphAndCrawl(t, 3, 0.1)
+	raw := crawlJSONBytes(t, c)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := "http://" + ln.Addr().String()
+	ln.Close()
+
+	const cancelSeed = 1 << 20
+	svc := newTestService(t, Config{Workers: 1})
+	svc.testBeforeRun = func(j *Job) {
+		if j.spec.seed >= cancelSeed {
+			j.cancel(errJobCancelled) // the worker's first poll settles it
+		}
+	}
+	await := func(spec *JobSpec) *Job {
+		t.Helper()
+		job, _, err := svc.Submit(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case <-job.Done():
+		case <-time.After(2 * time.Minute):
+			t.Fatalf("job %s timed out", shortKey(job.ID))
+		}
+		return job
+	}
+	type tally struct{ completed, cacheHits, failed, cancelled int64 }
+	read := func() tally {
+		return tally{svc.completed.Value(), svc.cacheHits.Value(), svc.failed.Value(), svc.cancelled.Value()}
+	}
+	for i := uint64(1); i <= 20; i++ {
+		want := read()
+		fresh := await(&JobSpec{Seed: i, RC: 1, Crawl: raw})
+		want.completed++
+		if got := read(); got != want {
+			t.Fatalf("round %d done: counters %+v, want %+v", i, got, want)
+		}
+		svc.forget(fresh.ID)
+		if !await(&JobSpec{Seed: i, RC: 1, Crawl: raw}).Status().Cached {
+			t.Fatalf("round %d: resubmission not served from cache", i)
+		}
+		want.completed++
+		want.cacheHits++
+		if got := read(); got != want {
+			t.Fatalf("round %d cached: counters %+v, want %+v", i, got, want)
+		}
+		await(&JobSpec{Seed: i, RC: 1, Graphd: &GraphdSource{URL: dead, Fraction: 0.1, Retries: 1}})
+		want.failed++
+		if got := read(); got != want {
+			t.Fatalf("round %d failed: counters %+v, want %+v", i, got, want)
+		}
+		await(&JobSpec{Seed: cancelSeed + i, RC: 1, Crawl: raw})
+		want.cancelled++
+		if got := read(); got != want {
+			t.Fatalf("round %d cancelled: counters %+v, want %+v", i, got, want)
+		}
+	}
+}
