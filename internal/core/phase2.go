@@ -1,9 +1,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
 
 	"sgr/internal/dkseries"
 	"sgr/internal/estimate"
@@ -14,26 +16,43 @@ import (
 // the estimate-derived quantities behind the error terms Delta+-.
 type jdmState struct {
 	jdm  *dkseries.JDM
-	mHat map[[2]int]float64 // m-hat(k,k') = n-hat kbar-hat P-hat(k,k')/mu
+	mHat [][]mHatCell // m-hat(k,k') = n-hat kbar-hat P-hat(k,k')/mu by row
 	dv   dkseries.DegreeVector
 }
 
-func jdmKey(k, kp int) [2]int {
-	if k > kp {
-		k, kp = kp, k
-	}
-	return [2]int{k, kp}
+// mHatCell is one entry of an m-hat row. Rows are laid out like a
+// dkseries.JDM's: the estimate's cells of degree k by ascending k', both
+// halves of the symmetric matrix.
+type mHatCell struct {
+	kp int
+	v  float64
 }
 
-// deltaAdd is the relative-error increase of m*(k,k') when changing it by
-// +1 (dir=+1) or -1 (dir=-1); +Inf where the estimate gives no mass.
-func (s *jdmState) deltaAdd(k, kp, dir int) float64 {
-	mh, ok := s.mHat[jdmKey(k, kp)]
-	if !ok || mh <= 0 {
+// seekMHat advances the cursor *row, an m-hat row, to column k' and
+// returns m-hat there, 0 where the estimate gives no mass. Successive calls
+// on one cursor must ask for ascending k', which makes a scan of a row one
+// merge pass.
+func seekMHat(row *[]mHatCell, kp int) float64 {
+	r := *row
+	for len(r) > 0 && r[0].kp < kp {
+		r = r[1:]
+	}
+	*row = r
+	if len(r) > 0 && r[0].kp == kp {
+		return r[0].v
+	}
+	return 0
+}
+
+// deltaAdd is the relative-error increase of a cell with estimate mh when
+// changing it from cur by +1 (dir=+1) or -1 (dir=-1); +Inf where the
+// estimate gives no mass.
+func deltaAdd(mh float64, cur, dir int) float64 {
+	if mh <= 0 {
 		return math.Inf(1)
 	}
-	cur := float64(s.jdm.Get(k, kp))
-	return (math.Abs(mh-(cur+float64(dir))) - math.Abs(mh-cur)) / mh
+	c := float64(cur)
+	return (math.Abs(mh-(c+float64(dir))) - math.Abs(mh-c)) / mh
 }
 
 // initJDM performs the initialization step of Sec. IV-C-1:
@@ -43,10 +62,10 @@ func initJDM(est *estimate.Estimates, dv dkseries.DegreeVector) *jdmState {
 	kmax := dv.KMax()
 	s := &jdmState{
 		jdm:  dkseries.NewJDM(kmax),
-		mHat: make(map[[2]int]float64, len(est.JDD)),
+		mHat: make([][]mHatCell, kmax+1),
 		dv:   dv,
 	}
-	//sgr:nondet-ok each JDD key owns disjoint mHat/jdm cells and Add is an integer add, so the writes commute
+	//sgr:nondet-ok each JDD key owns disjoint mHat/jdm cells, Add is an integer add and the mHat rows are sorted below, so the writes commute
 	for kk, p := range est.JDD {
 		if p <= 0 || kk.K < 1 || kk.Kp > kmax {
 			continue
@@ -56,12 +75,18 @@ func initJDM(est *estimate.Estimates, dv dkseries.DegreeVector) *jdmState {
 			mu = 2.0
 		}
 		mh := est.N * est.AvgDeg * p / mu
-		s.mHat[jdmKey(kk.K, kk.Kp)] = mh
+		s.mHat[kk.K] = append(s.mHat[kk.K], mHatCell{kp: kk.Kp, v: mh})
+		if kk.K != kk.Kp {
+			s.mHat[kk.Kp] = append(s.mHat[kk.Kp], mHatCell{kp: kk.K, v: mh})
+		}
 		m := nearInt(mh)
 		if m < 1 {
 			m = 1
 		}
 		s.jdm.Add(kk.K, kk.Kp, m)
+	}
+	for _, r := range s.mHat {
+		slices.SortFunc(r, func(a, b mHatCell) int { return cmp.Compare(a.kp, b.kp) })
 	}
 	return s
 }
@@ -84,11 +109,9 @@ func (s *jdmState) adjustJDM(mmin *dkseries.JDM, r *rand.Rand) error {
 		return mmin.Get(k, kp)
 	}
 	// D = {k : s(k) != s*(k)} ∪ {1}, iterated in decreasing order.
-	inD := make([]bool, kmax+1)
 	var d []int // ascending
 	for k := 1; k <= kmax; k++ {
 		if k == 1 || s.jdm.RowSum(k) != k*s.dv[k] {
-			inD[k] = true
 			d = append(d, k)
 		}
 	}
@@ -113,6 +136,7 @@ func (s *jdmState) adjustJDM(mmin *dkseries.JDM, r *rand.Rand) error {
 				excludeSelf := sk() == sStar()-1
 				cands = cands[:0]
 				best := math.Inf(1)
+				mh := s.mHat[k]
 				for _, kp := range d {
 					if kp > k {
 						break
@@ -120,7 +144,7 @@ func (s *jdmState) adjustJDM(mmin *dkseries.JDM, r *rand.Rand) error {
 					if kp == k && excludeSelf {
 						continue
 					}
-					delta := s.deltaAdd(k, kp, +1)
+					delta := deltaAdd(seekMHat(&mh, kp), s.jdm.Get(k, kp), +1)
 					if delta < best {
 						best = delta
 						cands = append(cands[:0], kp)
@@ -138,6 +162,7 @@ func (s *jdmState) adjustJDM(mmin *dkseries.JDM, r *rand.Rand) error {
 				excludeSelf := sk() == sStar()+1
 				cands = cands[:0]
 				best := math.Inf(1)
+				mh := s.mHat[k]
 				for _, kp := range d {
 					if kp > k {
 						break
@@ -145,10 +170,11 @@ func (s *jdmState) adjustJDM(mmin *dkseries.JDM, r *rand.Rand) error {
 					if kp == k && excludeSelf {
 						continue
 					}
-					if s.jdm.Get(k, kp) <= minAt(k, kp) {
+					cur := s.jdm.Get(k, kp)
+					if cur <= minAt(k, kp) {
 						continue
 					}
-					delta := s.deltaAdd(k, kp, -1)
+					delta := deltaAdd(seekMHat(&mh, kp), cur, -1)
 					if delta < best {
 						best = delta
 						cands = append(cands[:0], kp)
@@ -175,59 +201,60 @@ func (s *jdmState) adjustJDM(mmin *dkseries.JDM, r *rand.Rand) error {
 // cell in row k1 and row k2 (where possible above m') and restoring the
 // affected rows with a final increment, so that JDM-3 violations and edge
 // inflation are minimized.
+//
+// Only nonzero cells can matter: a cell with m'(k1,k2) = 0 never needs
+// raising, and a decrement candidate needs m*(row,k') > m'(row,k') >= 0.
+// So the outer loop walks the nonzero cells of m' and pickDecrement the
+// nonzero cells of row m*(row, .), both in the ascending order of a scan
+// over every degree pair, which keeps the candidate lists, and hence every
+// RNG draw, those of the full scan.
 func (s *jdmState) modifyJDM(mPrime *dkseries.JDM, r *rand.Rand) {
-	kmax := s.dv.KMax()
+	var cands []int
 	// pickDecrement finds k' with m*(row,k') > m'(row,k') minimizing
-	// Delta-, excluding the listed degrees; returns -1 if none.
-	pickDecrement := func(row int, exclude ...int) int {
+	// Delta-, excluding k' in {x1, x2}; returns -1 if none.
+	pickDecrement := func(row, x1, x2 int) int {
 		best := math.Inf(1)
-		var cands []int
-		for kp := 1; kp <= kmax; kp++ {
-			skip := false
-			for _, e := range exclude {
-				if kp == e {
-					skip = true
-					break
-				}
+		cands = cands[:0]
+		mh := s.mHat[row]
+		s.jdm.IterRow(row, func(kp, cur int) bool {
+			if kp == x1 || kp == x2 || cur <= mPrime.Get(row, kp) {
+				return true
 			}
-			if skip || s.jdm.Get(row, kp) <= mPrime.Get(row, kp) {
-				continue
-			}
-			delta := s.deltaAdd(row, kp, -1)
+			delta := deltaAdd(seekMHat(&mh, kp), cur, -1)
 			if delta < best {
 				best = delta
 				cands = append(cands[:0], kp)
 			} else if delta == best {
 				cands = append(cands, kp)
 			}
-		}
+			return true
+		})
 		if len(cands) == 0 {
 			return -1
 		}
 		return cands[r.IntN(len(cands))]
 	}
 
-	for k1 := 1; k1 <= kmax; k1++ {
-		for k2 := k1; k2 <= kmax; k2++ {
-			for s.jdm.Get(k1, k2) < mPrime.Get(k1, k2) {
-				s.jdm.Add(k1, k2, 1)
-				// Retain s(k1): decrement m*(k1,k3), k3 not in {k1,k2}.
-				k3 := pickDecrement(k1, k1, k2)
-				if k3 >= 0 {
-					s.jdm.Add(k1, k3, -1)
-				}
-				// Retain s(k2): decrement m*(k2,k4), k4 not in {k1,k2}.
-				k4 := pickDecrement(k2, k1, k2)
-				if k4 >= 0 {
-					s.jdm.Add(k2, k4, -1)
-				}
-				// Restore s(k3) and s(k4) together (lines 18-21).
-				if k3 >= 0 && k4 >= 0 {
-					s.jdm.Add(k3, k4, 1)
-				}
+	mPrime.IterCells(func(k1, k2, want int) bool {
+		for s.jdm.Get(k1, k2) < want {
+			s.jdm.Add(k1, k2, 1)
+			// Retain s(k1): decrement m*(k1,k3), k3 not in {k1,k2}.
+			k3 := pickDecrement(k1, k1, k2)
+			if k3 >= 0 {
+				s.jdm.Add(k1, k3, -1)
+			}
+			// Retain s(k2): decrement m*(k2,k4), k4 not in {k1,k2}.
+			k4 := pickDecrement(k2, k1, k2)
+			if k4 >= 0 {
+				s.jdm.Add(k2, k4, -1)
+			}
+			// Restore s(k3) and s(k4) together (lines 18-21).
+			if k3 >= 0 && k4 >= 0 {
+				s.jdm.Add(k3, k4, 1)
 			}
 		}
-	}
+		return true
+	})
 }
 
 // buildTargetJDM runs phase 2 end to end. The degree vector dv is mutated

@@ -151,11 +151,14 @@ func (res *Result) Validate() error {
 		return fmt.Errorf("core: graph max degree %d exceeds target kmax %d", got.KMax(), res.TargetDV.KMax())
 	}
 	gj := dkseries.JDMFromGraph(res.Graph)
-	//sgr:nondet-ok validation sweep: any mismatched cell aborts identically, only the cell named in the error varies
-	for ky, c := range res.TargetJDM.Cells() {
-		if gj.Get(ky[0], ky[1]) != c {
-			return fmt.Errorf("core: JDM not realized at (%d,%d): got %d want %d", ky[0], ky[1], gj.Get(ky[0], ky[1]), c)
+	res.TargetJDM.IterCells(func(k, kp, c int) bool {
+		if got := gj.Get(k, kp); got != c {
+			err = fmt.Errorf("core: JDM not realized at (%d,%d): got %d want %d", k, kp, got, c)
 		}
+		return err == nil
+	})
+	if err != nil {
+		return err
 	}
 	if gj.TotalEdges() != res.TargetJDM.TotalEdges() {
 		return fmt.Errorf("core: edge total %d != target %d", gj.TotalEdges(), res.TargetJDM.TotalEdges())

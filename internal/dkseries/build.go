@@ -3,7 +3,6 @@ package dkseries
 import (
 	"fmt"
 	"math/rand/v2"
-	"sort"
 
 	"sgr/internal/graph"
 )
@@ -95,8 +94,8 @@ func Build(base *graph.Graph, baseTargetDeg []int, dv DegreeVector, jdm *JDM, r 
 		}
 	}
 
-	// Wire m(k,k') - m'(k,k') random half pairs per degree pair
-	// (lines 13-16).
+	// Wire m(k,k') - m'(k,k') random half pairs per degree pair, pairs in
+	// ascending (k, k') order (lines 13-16).
 	pop := func(k int) (int, error) {
 		h := halves[k]
 		if len(h) == 0 {
@@ -108,32 +107,24 @@ func Build(base *graph.Graph, baseTargetDeg []int, dv DegreeVector, jdm *JDM, r 
 		halves[k] = h[:len(h)-1]
 		return u, nil
 	}
-	keys := make([][2]int, 0, jdm.NumCells())
-	jdm.IterCells(func(k, kp, _ int) bool {
-		keys = append(keys, [2]int{k, kp})
-		return true
-	})
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i][0] != keys[j][0] {
-			return keys[i][0] < keys[j][0]
-		}
-		return keys[i][1] < keys[j][1]
-	})
-	for _, ky := range keys {
-		k, kp := ky[0], ky[1]
-		need := jdm.Get(k, kp) - baseJDM.Get(k, kp)
+	var err error
+	jdm.IterCells(func(k, kp, count int) bool {
+		need := count - baseJDM.Get(k, kp)
 		for i := 0; i < need; i++ {
-			u, err := pop(k)
-			if err != nil {
-				return nil, err
+			var u, v int
+			if u, err = pop(k); err != nil {
+				return false
 			}
-			v, err := pop(kp)
-			if err != nil {
-				return nil, err
+			if v, err = pop(kp); err != nil {
+				return false
 			}
 			res.Graph.AddEdge(u, v)
 			res.Added = append(res.Added, graph.Edge{U: u, V: v})
 		}
+		return true
+	})
+	if err != nil {
+		return nil, err
 	}
 	for k, h := range halves {
 		if len(h) != 0 {

@@ -16,6 +16,7 @@ package dkseries
 
 import (
 	"fmt"
+	"slices"
 
 	"sgr/internal/graph"
 )
@@ -100,51 +101,107 @@ func FromGraph(g *graph.Graph) (DegreeVector, error) {
 	return dv, nil
 }
 
-// JDM is a target joint degree matrix {m*(k,k')} stored sparsely with
-// canonical keys (k <= k'), together with maintained row sums
-// s(k) = sum_k' mu(k,k') m(k,k').
+// jdmCell is one nonzero entry of a JDM row: column degree k' and count
+// m(k,k').
+type jdmCell struct{ kp, n int }
+
+// JDM is a target joint degree matrix {m*(k,k')}. Row k holds the nonzero
+// cells of degree k sorted by ascending k', and both halves of the
+// symmetric matrix are stored (m(k,k') sits in row k and in row k'), so a
+// row scan touches only nonzero cells, every iteration has a fixed order,
+// and memory is O(kmax + nonzero cells) whatever degrees a crawl claims.
+// The row sums s(k) = sum_k' mu(k,k') m(k,k') and the number of nonzero
+// canonical cells (k <= k') are maintained.
 type JDM struct {
 	kmax  int
-	cells map[[2]int]int
-	row   []int // s(k), indexed by degree
+	rows  [][]jdmCell // rows[k]: nonzero cells of row k, ascending k'
+	row   []int       // s(k), indexed by degree
+	cells int         // nonzero canonical entries
 }
 
 // NewJDM returns an empty matrix supporting degrees 1..kmax.
 func NewJDM(kmax int) *JDM {
-	return &JDM{kmax: kmax, cells: make(map[[2]int]int), row: make([]int, kmax+1)}
+	return &JDM{kmax: kmax, rows: make([][]jdmCell, kmax+1), row: make([]int, kmax+1)}
 }
 
 // KMax returns the largest supported degree.
 func (j *JDM) KMax() int { return j.kmax }
 
-func key(k, kp int) [2]int {
-	if k > kp {
-		k, kp = kp, k
+// find returns the index of k' in row k, or where it would be inserted,
+// and whether the cell is present.
+func (j *JDM) find(k, kp int) (int, bool) {
+	r := j.rows[k]
+	lo, hi := 0, len(r)
+	for lo < hi {
+		h := int(uint(lo+hi) >> 1)
+		if r[h].kp < kp {
+			lo = h + 1
+		} else {
+			hi = h
+		}
 	}
-	return [2]int{k, kp}
+	return lo, lo < len(r) && r[lo].kp == kp
 }
 
-// Get returns m(k,k') (symmetric).
-func (j *JDM) Get(k, kp int) int { return j.cells[key(k, kp)] }
+// Get returns m(k,k') (symmetric); 0 for degrees outside 0..kmax.
+func (j *JDM) Get(k, kp int) int {
+	if uint(k) > uint(j.kmax) {
+		return 0
+	}
+	if i, ok := j.find(k, kp); ok {
+		return j.rows[k][i].n
+	}
+	return 0
+}
 
 // Add changes m(k,k') by delta, maintaining row sums. Panics if the result
-// would be negative (JDM-1 must never be violated by callers).
+// would be negative (JDM-1 must never be violated by callers) or a degree
+// lies outside 0..kmax.
 func (j *JDM) Add(k, kp, delta int) {
-	ky := key(k, kp)
-	nv := j.cells[ky] + delta
+	if uint(k) > uint(j.kmax) || uint(kp) > uint(j.kmax) {
+		panic(fmt.Sprintf("dkseries: m(%d,%d) outside kmax %d", k, kp, j.kmax))
+	}
+	if delta == 0 {
+		return
+	}
+	i, ok := j.find(k, kp)
+	nv := delta
+	if ok {
+		nv += j.rows[k][i].n
+	}
 	if nv < 0 {
 		panic(fmt.Sprintf("dkseries: m(%d,%d) would become %d", k, kp, nv))
 	}
-	if nv == 0 {
-		delete(j.cells, ky)
-	} else {
-		j.cells[ky] = nv
-	}
+	j.set(k, i, ok, kp, nv)
 	if k == kp {
 		j.row[k] += 2 * delta
 	} else {
+		i, ok := j.find(kp, k)
+		j.set(kp, i, ok, k, nv)
 		j.row[k] += delta
 		j.row[kp] += delta
+	}
+	if !ok {
+		j.cells++
+	} else if nv == 0 {
+		j.cells--
+	}
+}
+
+// set stores m(k,k') = nv in row k, where i and present are find's result:
+// it overwrites, inserts or (at 0) removes the cell.
+func (j *JDM) set(k, i int, present bool, kp, nv int) {
+	r := j.rows[k]
+	switch {
+	case !present:
+		r = append(r, jdmCell{})
+		copy(r[i+1:], r[i:])
+		r[i] = jdmCell{kp: kp, n: nv}
+		j.rows[k] = r
+	case nv == 0:
+		j.rows[k] = append(r[:i], r[i+1:]...)
+	default:
+		r[i].n = nv
 	}
 }
 
@@ -152,35 +209,55 @@ func (j *JDM) Add(k, kp, delta int) {
 func (j *JDM) RowSum(k int) int { return j.row[k] }
 
 // NumCells returns the number of nonzero canonical entries.
-func (j *JDM) NumCells() int { return len(j.cells) }
+func (j *JDM) NumCells() int { return j.cells }
 
 // TotalEdges returns sum_{k<=k'} m(k,k').
 func (j *JDM) TotalEdges() int {
 	s := 0
-	for _, c := range j.cells {
+	j.IterCells(func(_, _, c int) bool {
 		s += c
-	}
+		return true
+	})
 	return s
 }
 
 // Cells returns a copy of the nonzero canonical entries. Callers may
 // mutate the returned map freely; the matrix's internal state (and its
-// maintained row sums) cannot be corrupted through it. For allocation-free
-// iteration use IterCells.
+// maintained row sums) cannot be corrupted through it. For allocation-free,
+// ordered iteration use IterCells.
 func (j *JDM) Cells() map[[2]int]int {
-	out := make(map[[2]int]int, len(j.cells))
-	for ky, v := range j.cells {
-		out[ky] = v
-	}
+	out := make(map[[2]int]int, j.cells)
+	j.IterCells(func(k, kp, c int) bool {
+		out[[2]int{k, kp}] = c
+		return true
+	})
 	return out
 }
 
 // IterCells calls fn for every nonzero canonical entry (k <= k') in
-// unspecified order, stopping early if fn returns false. The matrix must
-// not be mutated during iteration.
+// ascending (k, k') order, stopping early if fn returns false. The matrix
+// must not be mutated during iteration.
 func (j *JDM) IterCells(fn func(k, kp, count int) bool) {
-	for ky, v := range j.cells {
-		if !fn(ky[0], ky[1], v) {
+	for k := range j.rows {
+		i, _ := j.find(k, k)
+		for _, c := range j.rows[k][i:] {
+			if !fn(k, c.kp, c.n) {
+				return
+			}
+		}
+	}
+}
+
+// IterRow calls fn for every nonzero entry m(k,k') of row k, both halves
+// of the matrix, in ascending k' order, stopping early if fn returns
+// false. A degree outside 0..kmax has an empty row. The matrix must not be
+// mutated during iteration.
+func (j *JDM) IterRow(k int, fn func(kp, count int) bool) {
+	if uint(k) > uint(j.kmax) {
+		return
+	}
+	for _, c := range j.rows[k] {
+		if !fn(c.kp, c.n) {
 			return
 		}
 	}
@@ -188,11 +265,10 @@ func (j *JDM) IterCells(fn func(k, kp, count int) bool) {
 
 // Clone returns a deep copy.
 func (j *JDM) Clone() *JDM {
-	c := NewJDM(j.kmax)
-	for ky, v := range j.cells {
-		c.cells[ky] = v
+	c := &JDM{kmax: j.kmax, rows: make([][]jdmCell, len(j.rows)), row: slices.Clone(j.row), cells: j.cells}
+	for k, r := range j.rows {
+		c.rows[k] = slices.Clone(r)
 	}
-	copy(c.row, j.row)
 	return c
 }
 
@@ -216,15 +292,17 @@ func (j *JDM) Check(dv DegreeVector) error {
 	return nil
 }
 
-// CheckAgainstBase verifies JDM-4: m(k,k') >= base m'(k,k') for all pairs.
+// CheckAgainstBase verifies JDM-4: m(k,k') >= base m'(k,k') for all pairs,
+// naming the first violating cell in ascending (k, k') order.
 func (j *JDM) CheckAgainstBase(base *JDM) error {
-	//sgr:nondet-ok validation sweep: any violating cell fails identically, only the cell named in the error varies
-	for ky, c := range base.cells {
-		if j.cells[ky] < c {
-			return fmt.Errorf("dkseries: m(%d,%d) = %d < base %d (JDM-4)", ky[0], ky[1], j.cells[ky], c)
+	var err error
+	base.IterCells(func(k, kp, c int) bool {
+		if have := j.Get(k, kp); have < c {
+			err = fmt.Errorf("dkseries: m(%d,%d) = %d < base %d (JDM-4)", k, kp, have, c)
 		}
-	}
-	return nil
+		return err == nil
+	})
+	return err
 }
 
 // JDMFromGraph extracts the joint degree matrix of g using each node's
@@ -242,8 +320,18 @@ func JDMFromGraph(g *graph.Graph) *JDM {
 // having target degree targetDeg[i] (which may exceed its current degree).
 func JDMFromBase(base *graph.Graph, targetDeg []int, kmax int) *JDM {
 	j := NewJDM(kmax)
-	for _, e := range base.Edges() {
-		j.Add(targetDeg[e.U], targetDeg[e.V], 1)
+	for u := 0; u < base.N(); u++ {
+		loops := 0
+		for _, v := range base.Neighbors(u) {
+			if v > u {
+				j.Add(targetDeg[u], targetDeg[v], 1)
+			} else if v == u {
+				loops++
+			}
+		}
+		if loops > 0 {
+			j.Add(targetDeg[u], targetDeg[u], loops/2)
+		}
 	}
 	return j
 }

@@ -292,13 +292,17 @@ func (lw *laneWorker) run(c *csr, srcs []int32, delta []float64, stride int) {
 // counts of every lane to p unless p is nil, and returns the mask of the
 // lanes in which some sigma reached sigmaExact.
 //
-// Each BFS level is a list of (node, lane mask) entries. Pass 1 scans the
-// rows of level d and collects next[w], the lanes that reach w first at
-// level d+1; pass 2 scans the same rows and adds sigma[u]*m to sigma[w] in
-// each lane of mask(u) & next[w]. The backward pass walks the levels in
-// descending order and sums sigma[u]*m/sigma[w]*(1+delta[w]) over u's row
-// in ascending arc order, in each lane where w lies one level deeper —
-// the terms, their order and the float expression of one serial Brandes
+// Each BFS level is a list of (node, lane mask) entries. One scan of the
+// rows of level d collects next[w], the lanes that reach w first at level
+// d+1, and adds sigma[u]*m to sigma[w] in each lane of mask(u) &^ seen[w]:
+// seen only changes after the scan, so those are exactly the lanes of
+// mask(u) & next[w] once next is complete, and each sigma[w] receives its
+// terms in the order a second scan of the same rows would add them. Sigma
+// only grows, so a lane is flagged as soon as one sum reaches sigmaExact.
+// The backward pass walks the levels in descending order and sums
+// sigma[u]*m/sigma[w]*(1+delta[w]) over u's row in ascending arc order, in
+// each lane where w lies one level deeper — the terms, their order and the
+// float expression of one serial Brandes
 // pass, so every delta has its bits whenever the sigmas are exact. In a
 // one-lane batch the entries of a level are in BFS queue order, so sigma
 // has the serial pass's bits too, exact or not.
@@ -319,12 +323,26 @@ func (lw *laneWorker) batch(c *csr, srcs []int32, delta []float64, stride int, p
 	for d := 0; ; d++ {
 		lo, hi := levels[d], len(ents)
 		for _, e := range ents[lo:hi] {
-			for _, w := range c.nbr[c.offset[e.v]:c.offset[e.v+1]] {
-				if nw := e.mask &^ seen[w]; nw != 0 {
-					if next[w] == 0 {
-						ents = append(ents, laneEntry{v: w})
+			u := int(e.v)
+			su := sigma[u*width : u*width+width]
+			rlo, rhi := c.offset[u], c.offset[u+1]
+			mult := c.mult[rlo:rhi]
+			for i, w := range c.nbr[rlo:rhi] {
+				hit := e.mask &^ seen[w]
+				if hit == 0 {
+					continue
+				}
+				if next[w] == 0 {
+					ents = append(ents, laneEntry{v: w})
+				}
+				next[w] |= hit
+				m := float64(mult[i])
+				sw := sigma[int(w)*width : int(w)*width+width]
+				for ; hit != 0; hit &= hit - 1 {
+					l := bits.TrailingZeros64(hit)
+					if sw[l] += su[l] * m; sw[l] >= sigmaExact {
+						big |= 1 << l
 					}
-					next[w] |= nw
 				}
 			}
 		}
@@ -332,39 +350,13 @@ func (lw *laneWorker) batch(c *csr, srcs []int32, delta []float64, stride int, p
 			break
 		}
 		levels = append(levels, hi)
+		pairs := 0
 		for i := hi; i < len(ents); i++ {
 			w := ents[i].v
 			ents[i].mask = next[w]
 			seen[w] |= next[w]
-		}
-		for _, e := range ents[lo:hi] {
-			u := int(e.v)
-			su := sigma[u*width : u*width+width]
-			rlo, rhi := c.offset[u], c.offset[u+1]
-			mult := c.mult[rlo:rhi]
-			for i, w := range c.nbr[rlo:rhi] {
-				hit := e.mask & next[w]
-				if hit == 0 {
-					continue
-				}
-				m := float64(mult[i])
-				sw := sigma[int(w)*width : int(w)*width+width]
-				for ; hit != 0; hit &= hit - 1 {
-					l := bits.TrailingZeros64(hit)
-					sw[l] += su[l] * m
-				}
-			}
-		}
-		pairs := 0
-		for _, e := range ents[hi:] {
-			next[e.v] = 0
-			pairs += bits.OnesCount64(e.mask)
-			sw := sigma[int(e.v)*width : int(e.v)*width+width]
-			for mk := e.mask; mk != 0; mk &= mk - 1 {
-				if l := bits.TrailingZeros64(mk); sw[l] >= sigmaExact {
-					big |= 1 << l
-				}
-			}
+			next[w] = 0
+			pairs += bits.OnesCount64(ents[i].mask)
 		}
 		if p != nil {
 			// Ordered pairs (s, t) at distance d+1, one per lane of each
