@@ -44,7 +44,7 @@ func main() {
 		outBin   = flag.String("out-binary", "", "write the restored graph here in the binary SGRB codec (gengraph -from-binary reads it)")
 		compare  = flag.Bool("compare", true, "compute the 12-property L1 comparison")
 		workers  = flag.Int("workers", parallel.DefaultWorkers(),
-			"worker bound for the property-comparison loops (results are bit-identical at any value)")
+			"worker bound for the Brandes pass of -compare's property computation (results are bit-identical at any value)")
 		rewireWorkers = flag.Int("rewire-workers", parallel.DefaultWorkers(),
 			"worker bound for the phase-4 rewiring propose loop (output is byte-identical at any value)")
 		traceOut = flag.String("trace", "", "write the pipeline timeline here in Chrome trace_event JSON (chrome://tracing, ui.perfetto.dev)")
@@ -175,10 +175,11 @@ func main() {
 		fmt.Printf("wrote %s (binary)\n", *outBin)
 	}
 	if *compare && g != nil {
-		// -workers bounds the parallel loops inside each property
-		// computation (the two graphs score sequentially — each Compute
-		// already saturates the pool). The results are bit-identical at
-		// any -workers value.
+		// -workers bounds the all-sources path pass (Brandes) of each
+		// property computation; every other property loop runs serially.
+		// The two graphs score sequentially, since that pass already
+		// saturates the pool. The results are bit-identical at any
+		// -workers value.
 		popts := props.Options{Workers: *workers}
 		orig := props.Compute(g, popts)
 		got := props.Compute(res.Graph, popts)

@@ -33,7 +33,8 @@
 // seed the harness therefore produces identical results at any worker
 // count (harness.Config.Workers, or -workers on cmd/experiment; default
 // runtime.GOMAXPROCS), and the whole engine is -race-clean. cmd/restore's
-// -workers instead bounds the property-computation loops, whose results
+// -workers instead bounds the all-sources path pass of the property
+// computation (the per-node property loops run serially), whose results
 // are bit-identical at any value too. See
 // README.md for the exact stream derivation and the CI gates that enforce
 // this.
@@ -75,7 +76,8 @@
 // clock only. That is what lets restored exclude the knob from its job
 // content address (differently configured daemons share cache lines) and
 // lets the bench gate (`make bench-gate`, scripts/bench_gate.sh) compare
-// recorded baselines across machines with different core counts. The
+// production-to-reference ratios across machines with different core
+// counts. The
 // rewiring trajectory differs from that of Algorithm 6's serial loop (kept
 // as a frozen test reference) — the two share state and accept semantics,
 // not proposal sequences — and is pinned by worker-invariance, output

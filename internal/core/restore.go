@@ -46,6 +46,8 @@ type Options struct {
 	// round timers. Observability only: spans read the monotonic clock and
 	// nothing else, so the restored graph is byte-identical with and
 	// without one — the same wall-clock-only contract as RewireWorkers.
+	// Result's times are read off these spans; without a Trace the run
+	// records its phase spans into a private one.
 	Trace *obs.Trace
 	// Rand is the random source; required.
 	Rand *rand.Rand
@@ -121,7 +123,9 @@ type Result struct {
 	// RewireStats reports phase 4 activity.
 	RewireStats dkseries.RewireStats
 	// TotalTime and RewireTime are the generation timings reported in
-	// Tables IV and V.
+	// Tables IV and V: the sum of the run's phase spans (estimate through
+	// phase4_rewire, without the aggregate rewire/* timers) and its
+	// phase4_rewire span, to the microsecond the trace shows.
 	TotalTime  time.Duration
 	RewireTime time.Duration
 }
@@ -212,7 +216,13 @@ func runWith(c *sampling.Crawl, est *estimate.Estimates, opts Options, useSubgra
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	start := time.Now() //sgr:nondet-ok timing metadata for Result.TotalTime; never feeds graph bytes or the result key
+	// The run's times come from its own spans: the ones recorded after
+	// first. The rewiring engine's round timers stay on the caller's trace.
+	engineTrace := opts.Trace
+	if opts.Trace == nil {
+		opts.Trace = obs.NewTrace("restore")
+	}
+	first := len(opts.Trace.Spans())
 	if est == nil {
 		if err := opts.phase("estimate", func() error {
 			w, err := estimate.NewWalk(c)
@@ -287,8 +297,7 @@ func runWith(c *sampling.Crawl, est *estimate.Estimates, opts Options, useSubgra
 	if opts.SkipRewiring {
 		res.Graph = built.Graph
 	} else {
-		rwStart := time.Now() //sgr:nondet-ok timing metadata for Result.RewireTime; never feeds graph bytes or the result key
-		if err := opts.phase("phase4_rewire", func() error {
+		if err := opts.phase(rewirePhase, func() error {
 			var fixed []graph.Edge
 			if sub != nil {
 				fixed = sub.Graph.Edges()
@@ -306,7 +315,7 @@ func runWith(c *sampling.Crawl, est *estimate.Estimates, opts Options, useSubgra
 				Seed2:            seed2,
 				ForbidDegenerate: opts.ForbidDegenerate,
 				Workers:          opts.RewireWorkers,
-				Trace:            opts.Trace,
+				Trace:            engineTrace,
 				Ctx:              opts.Ctx,
 			})
 			return nil
@@ -319,8 +328,27 @@ func runWith(c *sampling.Crawl, est *estimate.Estimates, opts Options, useSubgra
 		if err := opts.ctxErr(); err != nil {
 			return nil, err
 		}
-		res.RewireTime = time.Since(rwStart) //sgr:nondet-ok timing metadata; never feeds graph bytes or the result key
 	}
-	res.TotalTime = time.Since(start) //sgr:nondet-ok timing metadata; never feeds graph bytes or the result key
+	res.TotalTime, res.RewireTime = phaseTimes(opts.Trace.Spans()[first:])
 	return res, nil
+}
+
+// rewirePhase names phase 4's span, the one Result.RewireTime reads.
+const rewirePhase = "phase4_rewire"
+
+// phaseTimes sums the phase spans of one run into Result.TotalTime and
+// picks out its phase4_rewire span for Result.RewireTime. Aggregate timer
+// spans (Count > 0) overlap phase4_rewire and are left out.
+func phaseTimes(spans []obs.Span) (total, rewire time.Duration) {
+	for _, sp := range spans {
+		if sp.Count > 0 {
+			continue
+		}
+		d := time.Duration(sp.DurUS) * time.Microsecond
+		total += d
+		if sp.Name == rewirePhase {
+			rewire = d
+		}
+	}
+	return total, rewire
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"testing"
@@ -261,6 +262,71 @@ func TestPhaseClosesSpanOnError(t *testing.T) {
 	}
 	if n := len(tr.Spans()); n != 1 {
 		t.Fatalf("a cancelled phase opened a span: %d spans", n)
+	}
+}
+
+// TestResultTimesMatchSpans pins Result's timings to the run's own spans:
+// TotalTime is the sum of its phase spans and RewireTime its phase4_rewire
+// span, to the microsecond, for both methods, traced and untraced, with
+// and without phase 4. A caller's trace already holding a span of its own
+// must not leak into the sum.
+func TestResultTimesMatchSpans(t *testing.T) {
+	g := testOriginal(t, 23)
+	c := crawlOn(t, g, 0.06, 24)
+	phases := map[string]bool{
+		"estimate": true, "subgraph": true, "phase1_degree_vector": true,
+		"phase2_jdm": true, "phase3_construct": true, "phase4_rewire": true,
+	}
+	methods := []struct {
+		name string
+		run  func(*sampling.Crawl, Options) (*Result, error)
+	}{{"proposed", Restore}, {"gjoka", RestoreGjoka}}
+	for _, m := range methods {
+		for _, skip := range []bool{false, true} {
+			for _, traced := range []bool{false, true} {
+				var tr *obs.Trace
+				if traced {
+					tr = obs.NewTrace("caller")
+					end := tr.Start("queue")
+					time.Sleep(time.Millisecond)
+					end()
+				}
+				res, err := m.run(c, Options{RC: 2, SkipRewiring: skip, Rand: rng(25), Trace: tr})
+				if err != nil {
+					t.Fatal(err)
+				}
+				what := fmt.Sprintf("%s skip=%v traced=%v", m.name, skip, traced)
+				if skip && res.RewireTime != 0 {
+					t.Errorf("%s: RewireTime = %v, want 0", what, res.RewireTime)
+				}
+				if !traced {
+					// The private trace is out of reach; its times still
+					// come in whole microseconds and nest.
+					if res.TotalTime%time.Microsecond != 0 || res.RewireTime%time.Microsecond != 0 {
+						t.Errorf("%s: times %v / %v are not whole span microseconds", what, res.TotalTime, res.RewireTime)
+					}
+					if res.TotalTime <= 0 || res.RewireTime > res.TotalTime {
+						t.Errorf("%s: TotalTime %v, RewireTime %v", what, res.TotalTime, res.RewireTime)
+					}
+					continue
+				}
+				var total, rewire int64
+				for _, sp := range tr.Spans() {
+					if phases[sp.Name] {
+						total += sp.DurUS
+					}
+					if sp.Name == "phase4_rewire" {
+						rewire = sp.DurUS
+					}
+				}
+				if got := res.TotalTime.Microseconds(); got != total || res.TotalTime%time.Microsecond != 0 {
+					t.Errorf("%s: TotalTime = %v, phase spans sum to %dus", what, res.TotalTime, total)
+				}
+				if got := res.RewireTime.Microseconds(); got != rewire || res.RewireTime%time.Microsecond != 0 {
+					t.Errorf("%s: RewireTime = %v, phase4_rewire span is %dus", what, res.RewireTime, rewire)
+				}
+			}
+		}
 	}
 }
 

@@ -1,9 +1,5 @@
 package graph
 
-import (
-	"sgr/internal/parallel"
-)
-
 // JointDegreeMatrix returns m(k,k') as a map keyed by canonical degree pairs
 // (k <= k'): the number of edges between nodes with degree k and degree k'.
 // Multi-edges count with multiplicity; a self-loop at a degree-k node counts
@@ -39,37 +35,26 @@ func (g *Graph) JointDegreeMatrix() map[[2]int]int {
 // TriangleCounts returns t[i], the number of triangles node i belongs to,
 // using the paper's multiplicity-aware definition
 // t_i = sum_{j<l, j!=i, l!=i} A_ij * A_il * A_jl. Self-loops never form
-// triangles under this definition. It parallelizes over all CPUs; use
-// TriangleCountsWorkers to bound the pool.
-func (g *Graph) TriangleCounts() []int64 { return g.TriangleCountsWorkers(0) }
-
-// TriangleCountsWorkers is TriangleCounts on at most workers goroutines
-// (<= 0 selects all CPUs). It parallelizes over nodes with index-disjoint
-// writes, so the counts are identical at any worker count.
-func (g *Graph) TriangleCountsWorkers(workers int) []int64 {
-	n := g.N()
-	t := make([]int64, n)
-	// Shared CSR snapshot, built once serially and then read-only across
-	// the worker goroutines. Sorted distinct rows turn the A_jl probe of
-	// the naive formula into a linear sorted-merge intersection:
+// triangles under this definition.
+func (g *Graph) TriangleCounts() []int64 {
+	t := make([]int64, g.N())
+	// Sorted distinct CSR rows turn the A_jl probe of the naive formula
+	// into a linear sorted-merge intersection:
 	// t_u = (1/2) sum_{j in N*(u)} A_uj * sp(u,j), where sp excludes both
 	// endpoints structurally. Each unordered neighbor pair (j,l) of u is
-	// counted once from j and once from l, hence the halving; the sum is
-	// exact int64 arithmetic, so results are order-independent.
+	// counted once from j and once from l, hence the halving.
 	c := g.CSR()
-	parallel.Blocks(workers, n, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			nbr, mult := c.Row(u)
-			if len(nbr) < 2 {
-				continue
-			}
-			var s int64
-			for i, j := range nbr {
-				s += int64(mult[i]) * c.SharedPartners(u, int(j))
-			}
-			t[u] = s / 2
+	for u := range t {
+		nbr, mult := c.Row(u)
+		if len(nbr) < 2 {
+			continue
 		}
-	})
+		var s int64
+		for i, j := range nbr {
+			s += int64(mult[i]) * c.SharedPartners(u, int(j))
+		}
+		t[u] = s / 2
+	}
 	return t
 }
 

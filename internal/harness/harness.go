@@ -101,9 +101,10 @@ type Config struct {
 	// honoring that contract, exactly as it does to Access.
 	Restorer func(method Method, c *sampling.Crawl, opts core.Options) (*core.Result, error)
 	// PropOpts tunes property computation (pivot thresholds etc.). Its
-	// Workers bounds the property loops inside each cell (default 1) and
-	// those of the original graph, which runs before the cells fan out
-	// (default: the pool width). Properties are bit-identical at any
+	// Workers bounds the all-sources path pass (Brandes) of props.Compute
+	// inside each cell (default 1) and for the original graph, which runs
+	// before the cells fan out (default: the pool width); every other
+	// property loop runs serially. Properties are bit-identical at any
 	// value, so it bounds CPU only.
 	PropOpts props.Options
 	// Workers bounds how many evaluation cells — independent

@@ -15,7 +15,6 @@ package props
 
 import (
 	"sgr/internal/graph"
-	"sgr/internal/parallel"
 )
 
 // DegreeDist returns P(k), the fraction of nodes with each degree.
@@ -36,40 +35,22 @@ func DegreeDist(g *graph.Graph) map[int]float64 {
 // Multi-edges weight neighbors by multiplicity; a self-loop contributes the
 // node's own degree twice, per the adjacency-matrix convention.
 func NeighborConnectivity(g *graph.Graph) map[int]float64 {
-	return neighborConnectivity(g, 0)
-}
-
-func neighborConnectivity(g *graph.Graph, workers int) map[int]float64 {
+	// Each node's mean neighbor degree sums over the CSR endpoint view, in
+	// the order of the adjacency lists it snapshots.
 	c := g.CSR()
-	n := c.N()
-	// Per-node mean neighbor degree over the CSR endpoint view (same
-	// summation order as the adjacency lists it snapshots, so the floats
-	// are bit-identical to the pre-CSR loop), computed in parallel into
-	// disjoint slots; the degree-keyed reduction below runs serially in
-	// ascending node order, matching the accumulation order of a serial
-	// loop — so the result is bit-identical at any worker count.
-	avg := make([]float64, n)
-	parallel.Blocks(workers, n, func(lo, hi int) {
-		for u := lo; u < hi; u++ {
-			k := c.Degree(u)
-			if k == 0 {
-				continue
-			}
-			s := 0.0
-			for _, v := range c.Endpoints(u) {
-				s += float64(c.Degree(int(v)))
-			}
-			avg[u] = s / float64(k)
-		}
-	})
 	sum := make(map[int]float64)
 	cnt := make(map[int]int)
-	for u := 0; u < n; u++ {
+	for u := 0; u < c.N(); u++ {
 		k := c.Degree(u)
 		cnt[k]++
-		if k > 0 {
-			sum[k] += avg[u]
+		if k == 0 {
+			continue
 		}
+		s := 0.0
+		for _, v := range c.Endpoints(u) {
+			s += float64(c.Degree(int(v)))
+		}
+		sum[k] += s / float64(k)
 	}
 	out := make(map[int]float64, len(cnt))
 	for k, c := range cnt {
@@ -81,11 +62,7 @@ func neighborConnectivity(g *graph.Graph, workers int) map[int]float64 {
 // LocalClustering returns the per-node local clustering coefficients
 // 2 t_i / (d_i (d_i - 1)), zero for degree < 2.
 func LocalClustering(g *graph.Graph) []float64 {
-	return localClustering(g, 0)
-}
-
-func localClustering(g *graph.Graph, workers int) []float64 {
-	t := g.TriangleCountsWorkers(workers)
+	t := g.TriangleCounts()
 	out := make([]float64, g.N())
 	for u := 0; u < g.N(); u++ {
 		d := g.Degree(u)
@@ -140,67 +117,34 @@ func degreeClusteringOf(g *graph.Graph, local []float64) map[int]float64 {
 // of (non-loop) edge instances whose endpoints share exactly s neighbors,
 // sp(i,j) = sum_{k != i,j} A_ik A_jk.
 func EdgewiseSharedPartners(g *graph.Graph) map[int]float64 {
-	return edgewiseSharedPartners(g, 0)
-}
-
-func edgewiseSharedPartners(g *graph.Graph, workers int) map[int]float64 {
-	// Shared CSR snapshot, built once serially and shared read-only.
+	// A dense histogram indexed by shared-partner count: the hot loop is a
+	// sorted-merge intersection of two CSR rows plus one slice increment.
 	c := g.CSR()
-	n := c.N()
-	// The shared-partner histogram is integer-valued, so per-block partial
-	// counts merge commutatively — identical at any worker count. Dense
-	// int64 histograms (indexed by shared-partner count) replace the
-	// per-block maps: the hot loop is a sorted-merge intersection plus one
-	// slice increment, allocation-free once a block's histogram has grown
-	// to its working size.
-	type partial struct {
-		counts []int64
-		total  int64
-	}
-	const blockNodes = 256
-	blocks := (n + blockNodes - 1) / blockNodes
-	parts, _ := parallel.Map(workers, blocks, func(b int) (partial, error) {
-		var p partial
-		lo, hi := b*blockNodes, (b+1)*blockNodes
-		if hi > n {
-			hi = n
-		}
-		for u := lo; u < hi; u++ {
-			nbr, mult := c.Row(u)
-			for i, vk := range nbr {
-				v := int(vk)
-				if v <= u {
-					continue // each distinct pair once; self-loops excluded
-				}
-				// sp(u,v) = sum_{w != u,v} A_uw A_vw by sorted-merge of the
-				// two distinct rows (endpoint exclusion is structural).
-				sp := c.SharedPartners(u, v)
-				for int64(len(p.counts)) <= sp {
-					p.counts = append(p.counts, 0)
-				}
-				// One entry per parallel edge instance.
-				p.counts[sp] += int64(mult[i])
-				p.total += int64(mult[i])
-			}
-		}
-		return p, nil
-	})
-	var merged []int64
+	var counts []int64
 	var total int64
-	for _, p := range parts {
-		for s, c := range p.counts {
-			for len(merged) <= s {
-				merged = append(merged, 0)
+	for u := 0; u < c.N(); u++ {
+		nbr, mult := c.Row(u)
+		for i, vk := range nbr {
+			v := int(vk)
+			if v <= u {
+				continue // each distinct pair once; self-loops excluded
 			}
-			merged[s] += c
+			// sp(u,v) = sum_{w != u,v} A_uw A_vw by sorted-merge of the
+			// two distinct rows (endpoint exclusion is structural).
+			sp := c.SharedPartners(u, v)
+			for int64(len(counts)) <= sp {
+				counts = append(counts, 0)
+			}
+			// One entry per parallel edge instance.
+			counts[sp] += int64(mult[i])
+			total += int64(mult[i])
 		}
-		total += p.total
 	}
 	out := make(map[int]float64)
 	if total == 0 {
 		return out
 	}
-	for s, c := range merged {
+	for s, c := range counts {
 		if c > 0 {
 			out[s] = float64(c) / float64(total)
 		}

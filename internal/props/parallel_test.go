@@ -83,10 +83,9 @@ func eqMaps(t *testing.T, what string, got, want map[int]float64) {
 	}
 }
 
-// TestParallelBasicPropsMatchSerial pins the parallelized per-node property
-// loops to their serial reference: disjoint-slot float writes with an
-// in-order reduction (neighbor connectivity) and commutative integer
-// merges (shared partners) must be bit-identical, not merely close.
+// TestParallelBasicPropsMatchSerial pins the CSR per-node property loops
+// to their adjacency-list references: neighbor connectivity's floats and
+// the shared-partner histogram must be bit-identical, not merely close.
 func TestParallelBasicPropsMatchSerial(t *testing.T) {
 	graphs := []*graph.Graph{
 		gen.HolmeKim(900, 4, 0.5, rand.New(rand.NewPCG(3, 4))),

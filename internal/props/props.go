@@ -16,8 +16,9 @@ type Options struct {
 	// Pivots is the number of sampled sources in approximate mode
 	// (default 1000).
 	Pivots int
-	// Workers bounds parallelism (default GOMAXPROCS). It changes no
-	// bit of any result.
+	// Workers bounds the goroutines of the all-sources passes, Brandes
+	// in Compute and the distance profiles of Dissimilarity (default
+	// GOMAXPROCS). It changes no bit of any result.
 	Workers int
 	// Rand picks pivots; nil selects evenly spaced sources, which keeps
 	// results deterministic.
@@ -56,8 +57,9 @@ type Result struct {
 	PathsExact           bool            // whether 8-11 used all sources
 }
 
-// Compute evaluates all 12 properties of g. Options.Workers bounds every
-// parallel loop; the results are bit-identical at any worker count. The
+// Compute evaluates all 12 properties of g. The per-node properties run
+// serially; only the path properties fan out, over at most Options.Workers
+// goroutines, and the results are bit-identical at any worker count. The
 // path properties come from the bit-parallel Brandes kernel, which runs up
 // to 64 sources per call with the float additions of one serial pass: its
 // path counts are exact integers (a lane whose counts reach 2^53 re-runs
@@ -65,20 +67,16 @@ type Result struct {
 // arc order, and the betweenness floats merge in source order.
 func Compute(g *graph.Graph, opts Options) *Result {
 	opts = opts.withDefaults()
-	// One shared CSR snapshot feeds every property below; building (or
-	// fetching the cached snapshot) here keeps the parallel loops free of
-	// the non-goroutine-safe first build.
-	g.CSR()
 	// One triangle pass feeds both clustering properties.
-	local := localClustering(g, opts.Workers)
+	local := LocalClustering(g)
 	res := &Result{
 		N:                    g.N(),
 		AvgDegree:            g.AvgDegree(),
 		DegreeDist:           DegreeDist(g),
-		NeighborConnectivity: neighborConnectivity(g, opts.Workers),
+		NeighborConnectivity: NeighborConnectivity(g),
 		GlobalClustering:     globalClusteringOf(g, local),
 		DegreeClustering:     degreeClusteringOf(g, local),
-		ESP:                  edgewiseSharedPartners(g, opts.Workers),
+		ESP:                  EdgewiseSharedPartners(g),
 		Lambda1:              Lambda1(g),
 	}
 

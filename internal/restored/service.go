@@ -32,8 +32,9 @@ type Config struct {
 	// before they become runnable, and a restarted daemon replays
 	// unfinished ones, so a crash mid-pipeline loses no accepted work.
 	CacheDir string
-	// PropsWorkers bounds the parallel loops of /props property
-	// computation (default 1: the daemon's parallelism unit is the job).
+	// PropsWorkers bounds the all-sources path pass (Brandes) of /props
+	// property computation, the only loop of props.Compute that fans out
+	// (default 1: the daemon's parallelism unit is the job).
 	// It bounds CPU only: the /props bytes are identical at any value.
 	PropsWorkers int
 	// RewireWorkers bounds the propose-phase parallelism of each job's
