@@ -308,12 +308,11 @@ func (j *JDM) CheckAgainstBase(base *JDM) error {
 // JDMFromGraph extracts the joint degree matrix of g using each node's
 // actual degree.
 func JDMFromGraph(g *graph.Graph) *JDM {
-	j := NewJDM(g.MaxDegree())
-	//sgr:nondet-ok each key owns a disjoint JDM cell and Add is an integer add, so the writes commute
-	for kk, c := range g.JointDegreeMatrix() {
-		j.Add(kk[0], kk[1], c)
+	deg := make([]int, g.N())
+	for u := range deg {
+		deg[u] = g.Degree(u)
 	}
-	return j
+	return JDMFromBase(g, deg, g.MaxDegree())
 }
 
 // JDMFromBase extracts m'(k,k') of a base graph where node i counts as

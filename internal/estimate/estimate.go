@@ -15,7 +15,6 @@ package estimate
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"sgr/internal/sampling"
 )
@@ -29,90 +28,39 @@ type Walk struct {
 	Seq []int // x_1..x_r (original node IDs)
 	Deg []int // Deg[i] = true degree of Seq[i]
 
-	nbrs map[int][]int // queried node -> neighbor list (the crawl's own)
-
-	// The queried nodes by dense index, in first-query order: each one's
-	// sorted positions in Seq, its degree, and its neighbor list as dense
-	// indices (-1 for a node that was not queried) in
-	// adj[adjOff[i]:adjOff[i+1]], built once so the pair estimators do no
-	// map lookups.
-	pos    [][]int
-	deg    []int
-	adjOff []int32
-	adj    []int32
+	// lab is the crawl's dense labeling (sampling.Label): lab.Walk[i] is
+	// the dense ID of Seq[i] and lab.Row(u) queried node u's neighbor list.
+	// Queried node u has degree deg[u] and sorted positions pos[u] in Seq,
+	// so the pair estimators do no map lookups.
+	lab *sampling.Labeling
+	pos [][]int
+	deg []int
 }
 
 // NewWalk validates and indexes a random-walk crawl. The crawl must contain
 // a walk sequence with at least 3 steps. The Walk reads c's walk sequence
-// and neighbor lists in place, so c must not change while it is in use.
+// in place, so c must not change while it is in use.
 func NewWalk(c *sampling.Crawl) (*Walk, error) {
 	if len(c.Walk) < 3 {
 		return nil, fmt.Errorf("estimate: walk too short (r=%d, need >= 3)", len(c.Walk))
 	}
-	// Dense remap of queried nodes in first-query order: JDDIE visits each
-	// queried pair from the endpoint with the smaller index, so which
-	// side's list counts must not depend on map order. Fall back to the
-	// Neighbors keys for hand-built crawls that carry no Queried list.
-	idx := make(map[int]int32, len(c.Neighbors))
-	ids := make([]int, 0, len(c.Neighbors))
-	for _, u := range c.Queried {
-		if _, ok := c.Neighbors[u]; !ok {
-			continue
-		}
-		if _, dup := idx[u]; dup {
-			continue
-		}
-		idx[u] = int32(len(ids))
-		ids = append(ids, u)
-	}
-	var rest []int
-	for u := range c.Neighbors {
-		if _, ok := idx[u]; !ok {
-			rest = append(rest, u)
-		}
-	}
-	sort.Ints(rest) // map order would leak into the dense order
-	for _, u := range rest {
-		idx[u] = int32(len(ids))
-		ids = append(ids, u)
-	}
-
-	w := &Walk{
-		Seq:    c.Walk,
-		nbrs:   c.Neighbors,
-		pos:    make([][]int, len(ids)),
-		deg:    make([]int, len(ids)),
-		adjOff: make([]int32, len(ids)+1),
-	}
-	total := 0
-	for i, u := range ids {
-		w.deg[i] = len(c.Neighbors[u])
-		total += w.deg[i]
+	lab := sampling.Label(c)
+	w := &Walk{Seq: c.Walk, lab: lab, deg: make([]int, lab.NumQueried)}
+	for u := range w.deg {
+		w.deg[u] = len(lab.Row(u))
 	}
 	w.Deg = make([]int, len(c.Walk))
-	for i, u := range c.Walk {
-		ui, ok := idx[u]
-		if !ok {
-			return nil, fmt.Errorf("estimate: walk node %d missing from sampling list", u)
+	for i, u := range lab.Walk {
+		if u < 0 {
+			return nil, fmt.Errorf("estimate: walk node %d missing from sampling list", c.Walk[i])
 		}
-		d := w.deg[ui]
+		d := w.deg[u]
 		if d == 0 {
-			return nil, fmt.Errorf("estimate: walk visits isolated node %d", u)
+			return nil, fmt.Errorf("estimate: walk visits isolated node %d", c.Walk[i])
 		}
 		w.Deg[i] = d
-		w.pos[ui] = append(w.pos[ui], i)
 	}
-	w.adj = make([]int32, 0, total)
-	for i, u := range ids {
-		for _, v := range c.Neighbors[u] {
-			vi, queried := idx[v]
-			if !queried {
-				vi = -1
-			}
-			w.adj = append(w.adj, vi)
-		}
-		w.adjOff[i+1] = int32(len(w.adj))
-	}
+	w.pos = positionsOf(lab.Walk, lab.NumQueried)
 	return w, nil
 }
 
@@ -128,18 +76,16 @@ func (w *Walk) Lag() int {
 	return m
 }
 
-// multiplicity returns A[u][v] restricted to queried nodes: how many times
-// u's own neighbor list names v. The count is directed, so an API that
-// reports an edge from one side only answers for (u,v) and (v,u) apart.
-func (w *Walk) multiplicity(u, v int) int {
-	if u == v {
-		return 0 // the hidden graphs are simple
-	}
-	if _, queried := w.nbrs[v]; !queried {
-		return 0
+// multiplicity returns A[u][v] restricted to queried nodes, for dense IDs
+// u (queried) and v: how many times u's own neighbor list names v. The
+// count is directed, so an API that reports an edge from one side only
+// answers for (u,v) and (v,u) apart.
+func (w *Walk) multiplicity(u, v int32) int {
+	if u == v || int(v) >= len(w.deg) {
+		return 0 // the hidden graphs are simple, and v was not queried
 	}
 	c := 0
-	for _, x := range w.nbrs[u] {
+	for _, x := range w.lab.Row(int(u)) {
 		if x == v {
 			c++
 		}
@@ -271,7 +217,7 @@ func (w *Walk) DegreeClustering() map[int]float64 {
 		if k < 2 {
 			continue
 		}
-		if a := w.multiplicity(w.Seq[i-1], w.Seq[i+1]); a > 0 {
+		if a := w.multiplicity(w.lab.Walk[i-1], w.lab.Walk[i+1]); a > 0 {
 			raw[k] += float64(a)
 		}
 	}
@@ -288,19 +234,5 @@ func (w *Walk) DegreeClustering() map[int]float64 {
 		}
 		out[k] = c
 	}
-	return out
-}
-
-// sortedDegrees returns the observed degree support in ascending order.
-func (w *Walk) sortedDegrees() []int {
-	seen := make(map[int]struct{})
-	for _, d := range w.Deg {
-		seen[d] = struct{}{}
-	}
-	out := make([]int, 0, len(seen))
-	for k := range seen {
-		out = append(out, k)
-	}
-	sort.Ints(out)
 	return out
 }

@@ -87,7 +87,7 @@ func naivePhiIE(t *testing.T, w *Walk, m int) map[DegreePair]float64 {
 				continue
 			}
 			absI++
-			a := w.multiplicity(w.Seq[i], w.Seq[j])
+			a := w.multiplicity(w.lab.Walk[i], w.lab.Walk[j])
 			if a == 0 {
 				continue
 			}

@@ -58,9 +58,9 @@ func (w *Walk) JDDIE(nHat, avgDegHat float64, m int) map[DegreePair]float64 {
 			continue
 		}
 		cu := cls[w.deg[ui]]
-		for _, vi := range w.adj[w.adjOff[ui]:w.adjOff[ui+1]] {
-			// Unqueried neighbors are -1, below every index.
-			if int(vi) <= ui {
+		for _, vi := range w.lab.Row(ui) {
+			// Visible neighbors follow every queried index.
+			if int(vi) <= ui || int(vi) >= len(w.pos) {
 				continue
 			}
 			pv := w.pos[vi]

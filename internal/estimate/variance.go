@@ -104,7 +104,7 @@ func (w *Walk) GlobalClusteringInterval(batches int) (Interval, error) {
 			if d < 2 {
 				continue
 			}
-			if a := w.multiplicity(w.Seq[i-1], w.Seq[i+1]); a > 0 {
+			if a := w.multiplicity(w.lab.Walk[i-1], w.lab.Walk[i+1]); a > 0 {
 				num += float64(a) / float64(d-1)
 			}
 		}
@@ -129,7 +129,7 @@ func (w *Walk) GlobalClustering() float64 {
 		if d < 2 {
 			continue
 		}
-		if a := w.multiplicity(w.Seq[i-1], w.Seq[i+1]); a > 0 {
+		if a := w.multiplicity(w.lab.Walk[i-1], w.lab.Walk[i+1]); a > 0 {
 			num += float64(a) / float64(d-1)
 		}
 	}
@@ -154,7 +154,7 @@ func (w *Walk) NumNodesInterval(batches int) (Interval, error) {
 		sub := &Walk{
 			Seq: w.Seq[lo:hi],
 			Deg: w.Deg[lo:hi],
-			pos: positionsOf(w.Seq[lo:hi]),
+			pos: positionsOf(w.lab.Walk[lo:hi], len(w.deg)),
 		}
 		m := int(math.Round(DefaultLagFactor * float64(hi-lo)))
 		if m < 1 {
@@ -165,19 +165,12 @@ func (w *Walk) NumNodesInterval(batches int) (Interval, error) {
 	})
 }
 
-// positionsOf groups the positions of seq by node, nodes in first-visit
-// order.
-func positionsOf(seq []int) [][]int {
-	idx := make(map[int]int)
-	var pos [][]int
-	for i, u := range seq {
-		j, ok := idx[u]
-		if !ok {
-			j = len(pos)
-			idx[u] = j
-			pos = append(pos, nil)
-		}
-		pos[j] = append(pos[j], i)
+// positionsOf groups the positions of a walk given as dense IDs by queried
+// node: pos[u] lists, in ascending order, the steps i with at[i] == u.
+func positionsOf(at []int32, numQueried int) [][]int {
+	pos := make([][]int, numQueried)
+	for i, u := range at {
+		pos[u] = append(pos[u], i)
 	}
 	return pos
 }

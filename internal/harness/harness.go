@@ -72,10 +72,12 @@ type Config struct {
 	// Walker selects the random-walk variant feeding RW subgraph sampling
 	// and the two generation methods (default WalkerSimple). The paper
 	// suggests combining improved walks with the proposed method as future
-	// work; WalkerNonBacktracking preserves the degree-proportional
-	// stationary distribution the estimators assume and is the recommended
-	// variant. WalkerFrontier interleaves several walkers, which weakens
-	// the consecutive-step estimators (TE, clustering) — use with care.
+	// work. The estimators assume the simple walk: WalkerNonBacktracking
+	// keeps its degree-proportional stationary distribution, but the
+	// clustering estimator's k/(k-1) factor overstates its c(k);
+	// WalkerMetropolis is uniform at stationarity, which every 1/k
+	// reweighting misreads. WalkerFrontier interleaves several walkers,
+	// which weakens the consecutive-step estimators (TE, clustering).
 	Walker Walker
 	// FrontierDim is the walker count for WalkerFrontier (default 4).
 	FrontierDim int

@@ -44,7 +44,7 @@ func FrontierSampling(access Access, seeds []int, fraction float64, r *rand.Rand
 			wi++
 		}
 		u := walkers[wi]
-		nb := rec.neighbors[u]
+		nb := rec.crawl.Neighbors[u]
 		if len(nb) == 0 {
 			// Teleport a stuck walker to a random queried node.
 			q := rec.crawl.Queried

@@ -125,26 +125,20 @@ func (c *Crawl) DegreeOf(u int) (int, bool) {
 }
 
 type recorder struct {
-	access    Access
-	crawl     *Crawl
-	neighbors map[int][]int
+	access Access
+	crawl  *Crawl
 }
 
 func newRecorder(access Access) *recorder {
-	return &recorder{
-		access:    access,
-		neighbors: make(map[int][]int),
-		crawl:     &Crawl{Neighbors: make(map[int][]int)},
-	}
+	return &recorder{access: access, crawl: &Crawl{Neighbors: make(map[int][]int)}}
 }
 
 // query returns u's neighbors, recording the first query of each node.
 func (rec *recorder) query(u int) []int {
-	if nb, ok := rec.neighbors[u]; ok {
+	if nb, ok := rec.crawl.Neighbors[u]; ok {
 		return nb
 	}
 	nb := rec.access.NeighborsOf(u)
-	rec.neighbors[u] = nb
 	rec.crawl.Queried = append(rec.crawl.Queried, u)
 	rec.crawl.Neighbors[u] = nb
 	return nb

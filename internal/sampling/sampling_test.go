@@ -1,8 +1,10 @@
 package sampling
 
 import (
+	"cmp"
 	"math/rand/v2"
 	"reflect"
+	"slices"
 	"testing"
 
 	"sgr/internal/gen"
@@ -230,11 +232,10 @@ func TestBuildSubgraphPaperExample(t *testing.T) {
 	if s.NumQueried != 3 {
 		t.Fatalf("NumQueried: %d want 3", s.NumQueried)
 	}
-	// Queried nodes keep their true degrees.
-	deg := s.QueriedDegrees(c)
+	// Queried nodes come first, in first-query order.
 	for i, u := range []int{0, 2, 5} {
-		if deg[i] != g.Degree(u) {
-			t.Errorf("queried degree of %d: got %d want %d", u, deg[i], g.Degree(u))
+		if s.Nodes[i] != u {
+			t.Errorf("relabeled node %d: original %d want %d", i, s.Nodes[i], u)
 		}
 	}
 	// Queried nodes' subgraph degree == true degree; visible nodes' <=.
@@ -266,6 +267,40 @@ func TestBuildSubgraphDedupsSharedEdges(t *testing.T) {
 	}
 	if s.NumQueried != 2 || len(s.Nodes) != 2 {
 		t.Fatalf("unexpected node bookkeeping: %+v", s)
+	}
+}
+
+// TestBuildSubgraphFollowsLabelRule pins the labeling rule on crawls whose
+// Queried list and Neighbors keys disagree: a key missing from Queried is
+// still a queried node, appended in ascending ID, and a crawl with no
+// Queried list at all is labeled from its keys. Neither may wire an edge
+// that no neighbor list names.
+func TestBuildSubgraphFollowsLabelRule(t *testing.T) {
+	nbrs := map[int][]int{0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2}}
+	for _, tc := range []struct {
+		name    string
+		queried []int
+		nodes   []int
+	}{
+		{"missing-key", []int{0, 1, 3}, []int{0, 1, 3, 2}},
+		{"no-queried-list", nil, []int{0, 1, 2, 3}},
+	} {
+		c := &Crawl{Queried: tc.queried, Neighbors: nbrs, Walk: []int{0, 1, 2, 3}}
+		s := BuildSubgraph(c)
+		if !slices.Equal(s.Nodes, tc.nodes) || s.NumQueried != 4 {
+			t.Errorf("%s: nodes %v (%d queried), want %v (4 queried)", tc.name, s.Nodes, s.NumQueried, tc.nodes)
+		}
+		if l := Label(c); !slices.Equal(l.Nodes, s.Nodes) {
+			t.Errorf("%s: Label nodes %v differ from the subgraph's %v", tc.name, l.Nodes, s.Nodes)
+		}
+		var got []graph.Edge
+		for _, e := range s.Graph.Edges() {
+			got = append(got, graph.Edge{U: s.Nodes[e.U], V: s.Nodes[e.V]}.Canon())
+		}
+		slices.SortFunc(got, func(a, b graph.Edge) int { return cmp.Or(a.U-b.U, a.V-b.V) })
+		if want := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}}; !slices.Equal(got, want) {
+			t.Errorf("%s: edges %v, want %v", tc.name, got, want)
+		}
 	}
 }
 

@@ -1,26 +1,20 @@
 package sampling
 
-import (
-	"sort"
-
-	"sgr/internal/graph"
-)
+import "sgr/internal/graph"
 
 // Subgraph is the induced subgraph G' = (V', E') of Sec. III-D: E' is the
 // union of the neighbor sets of all queried nodes, V' consists of the
 // queried nodes plus the nodes visible as their neighbors.
 //
 // Nodes keep their original IDs from the hidden graph; the Graph field is a
-// relabeled dense copy (0..len(Nodes)-1) with Nodes giving newID -> oldID
-// and Index the inverse.
+// relabeled dense copy (0..len(Nodes)-1) in the crawl's Label order, with
+// Nodes giving newID -> oldID.
 type Subgraph struct {
 	// Graph is the relabeled induced subgraph.
 	Graph *graph.Graph
 	// Nodes maps relabeled ID -> original ID. Queried nodes come first, in
 	// first-query order, followed by visible nodes in ascending original ID.
 	Nodes []int
-	// Index maps original ID -> relabeled ID.
-	Index map[int]int
 	// NumQueried is the number of queried nodes; relabeled IDs
 	// [0, NumQueried) are queried and [NumQueried, len(Nodes)) are visible.
 	NumQueried int
@@ -29,60 +23,27 @@ type Subgraph struct {
 // IsQueried reports whether relabeled node u was queried (vs merely visible).
 func (s *Subgraph) IsQueried(u int) bool { return u < s.NumQueried }
 
-// BuildSubgraph constructs G' from a crawl. Edges are deduplicated: an edge
-// seen from both of its queried endpoints appears once. The hidden graphs in
-// this work are simple, so E' is a set of simple edges.
+// BuildSubgraph constructs G' from a crawl's labeling (Label). Each
+// distinct unordered pair in the queried nodes' neighbor lists becomes one
+// edge, added at its first appearance in label order: an edge listed
+// twice, or seen from both of its queried endpoints, appears once. The
+// hidden graphs in this work are simple, so E' is a set of simple edges.
 func BuildSubgraph(c *Crawl) *Subgraph {
-	s := &Subgraph{Index: make(map[int]int)}
-	for _, u := range c.Queried {
-		s.Index[u] = len(s.Nodes)
-		s.Nodes = append(s.Nodes, u)
-	}
-	s.NumQueried = len(s.Nodes)
-
-	// Collect visible nodes (neighbors that were never queried).
-	visSet := make(map[int]struct{})
-	for _, u := range c.Queried {
-		for _, v := range c.Neighbors[u] {
-			if _, queried := c.Neighbors[v]; !queried {
-				visSet[v] = struct{}{}
+	l := Label(c)
+	g := graph.New(len(l.Nodes))
+	// While row i is scanned, mark[v] == i+1 says edge {i, v} is in g.
+	mark := make([]int32, len(l.Nodes))
+	for i := 0; i < l.NumQueried; i++ {
+		stamp := int32(i + 1)
+		for _, v := range g.Neighbors(i) { // edges from earlier rows
+			mark[v] = stamp
+		}
+		for _, v := range l.Row(i) {
+			if mark[v] != stamp {
+				mark[v] = stamp
+				g.AddEdge(i, int(v))
 			}
 		}
 	}
-	visible := make([]int, 0, len(visSet))
-	for v := range visSet {
-		visible = append(visible, v)
-	}
-	sort.Ints(visible)
-	for _, v := range visible {
-		s.Index[v] = len(s.Nodes)
-		s.Nodes = append(s.Nodes, v)
-	}
-
-	g := graph.New(len(s.Nodes))
-	seen := make(map[graph.Edge]struct{})
-	for _, u := range c.Queried {
-		ru := s.Index[u]
-		for _, v := range c.Neighbors[u] {
-			rv := s.Index[v]
-			e := graph.Edge{U: ru, V: rv}.Canon()
-			if _, dup := seen[e]; dup {
-				continue
-			}
-			seen[e] = struct{}{}
-			g.AddEdge(e.U, e.V)
-		}
-	}
-	s.Graph = g
-	return s
-}
-
-// QueriedDegrees returns, for each relabeled queried node, its TRUE degree
-// in the hidden graph (the neighbor-list length), indexed by relabeled ID.
-func (s *Subgraph) QueriedDegrees(c *Crawl) []int {
-	d := make([]int, s.NumQueried)
-	for i := 0; i < s.NumQueried; i++ {
-		d[i] = len(c.Neighbors[s.Nodes[i]])
-	}
-	return d
+	return &Subgraph{Graph: g, Nodes: l.Nodes, NumQueried: l.NumQueried}
 }
