@@ -94,7 +94,7 @@ func benchFixedCrawl(b *testing.B) *sampling.Crawl {
 // crawl, each next to its frozen map-based reference (labelref_test.go).
 func BenchmarkRestoreSpans(b *testing.B) {
 	c := benchFixedCrawl(b)
-	estimate := func(newWalk func(*sampling.Crawl) (*Walk, error)) func(*testing.B) {
+	estimateSpan := func(newWalk func(*sampling.Crawl) (*Walk, error)) func(*testing.B) {
 		return func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				w, err := newWalk(c)
@@ -115,6 +115,6 @@ func BenchmarkRestoreSpans(b *testing.B) {
 			refBuildSubgraph(c)
 		}
 	})
-	b.Run("estimate", estimate(NewWalk))
-	b.Run("estimate-ref", estimate(refNewWalk))
+	b.Run("estimate", estimateSpan(NewWalk))
+	b.Run("estimate-ref", estimateSpan(refNewWalk))
 }
