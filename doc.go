@@ -55,11 +55,11 @@
 // lists, its graph.CSR snapshot (Graph.CSR().Multiplicity answers A[u][v]
 // by binary search; there is no separate multiplicity index), and the
 // rewiring engine's sorted rows. The walk estimators read the crawl's
-// neighbor lists directly. internal/adjset, a flat open-addressing
-// multiset, survives only as test support for the frozen serial rewiring
-// reference that the engine is checked against byte-for-byte; `make
-// bench-json` records the engine's perf baseline in BENCH_rewire.json
-// (see README.md, "Adjacency forms").
+// neighbor lists directly. A flat open-addressing multiset survives only
+// as test support inside internal/dkseries, the adjacency of the frozen
+// serial rewiring reference that the engine is checked against
+// byte-for-byte; `make bench-json` records the engine's perf baseline in
+// BENCH_rewire.json (see README.md, "Adjacency forms").
 //
 // Phase-4 rewiring — the pipeline's hot path — runs on the sharded
 // parallel engine of dkseries.RewireSharded: the candidate half-edge

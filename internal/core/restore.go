@@ -86,12 +86,14 @@ func (o Options) ctxErr() error {
 
 // phase runs one traced pipeline step: it polls the context, then runs fn
 // inside the span name. The span closes however fn returns, so the trace
-// of a failed job still shows how long its failing phase ran.
-func (o Options) phase(name string, fn func() error) error {
+// of a failed job still shows how long its failing phase ran, and an
+// error from fn marks it.
+func (o Options) phase(name string, fn func() error) (err error) {
 	if err := o.ctxErr(); err != nil {
 		return err
 	}
-	defer o.Trace.Start(name)()
+	end := o.Trace.StartErr(name)
+	defer func() { end(err) }()
 	return fn()
 }
 
@@ -318,14 +320,12 @@ func runWith(c *sampling.Crawl, est *estimate.Estimates, opts Options, useSubgra
 				Trace:            engineTrace,
 				Ctx:              opts.Ctx,
 			})
-			return nil
+			// The engine aborts between rounds when the context fires,
+			// handing back a valid but partially rewired graph. That graph
+			// must never leave the pipeline: re-check the context, which
+			// fails the phase and discards it.
+			return opts.ctxErr()
 		}); err != nil {
-			return nil, err
-		}
-		// The engine aborts between rounds when the context fires, handing
-		// back a valid but partially rewired graph. That graph must never
-		// leave the pipeline: re-check the context and discard it.
-		if err := opts.ctxErr(); err != nil {
 			return nil, err
 		}
 	}

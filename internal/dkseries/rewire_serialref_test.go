@@ -1,8 +1,8 @@
 package dkseries
 
 // This file freezes the serial Algorithm-6 loop as a test reference: it
-// mutates a flat adjset adjacency on every attempt and reverts on
-// rejection, exactly as the paper states the algorithm. The differential
+// mutates a flat adjSet adjacency (rewire_adjset_test.go) on every attempt
+// and reverts on rejection, exactly as the paper states the algorithm. The differential
 // guard (TestRewireDifferentialAdjsetVsMap) pins it byte-for-byte to the
 // map-based engine in rewire_mapref_test.go; TestRewireShardedDeltaExact
 // and TestShardedStateMatchesSerial use its mutate path and state as the
@@ -14,7 +14,6 @@ import (
 	"math/rand/v2"
 	"slices"
 
-	"sgr/internal/adjset"
 	"sgr/internal/graph"
 )
 
@@ -70,7 +69,7 @@ func rewireSerialRef(n int, fixed []graph.Edge, candidates []graph.Edge, opts re
 // mutable adjacency and its settle scratch.
 type serialState struct {
 	*rewireState
-	adj *adjset.Set // multiplicity between distinct nodes, flat rows
+	adj *adjSet // multiplicity between distinct nodes, flat rows
 
 	dirty   []int // scratch: degrees touched by the in-flight swap
 	inDirty []bool
@@ -97,7 +96,7 @@ func newSerialState(n int, fixed, candidates []graph.Edge, target map[int]float6
 	for _, e := range candidates {
 		bumpDeg(e)
 	}
-	st.adj = adjset.NewSized(st.deg)
+	st.adj = newAdjSetSized(st.deg)
 	addAdj := func(e graph.Edge) {
 		if e.U == e.V {
 			return // loops carry degree but no adjacency
@@ -150,11 +149,11 @@ func newSerialState(n int, fixed, candidates []graph.Edge, target map[int]float6
 		}
 		keys, counts := st.adj.Row(u)
 		for i := 0; i < len(keys); i++ {
-			if keys[i] == adjset.Empty {
+			if keys[i] == adjEmpty {
 				continue
 			}
 			for j := i + 1; j < len(keys); j++ {
-				if keys[j] == adjset.Empty {
+				if keys[j] == adjEmpty {
 					continue
 				}
 				if ab := st.adj.Get(int(keys[i]), int(keys[j])); ab > 0 {
@@ -208,7 +207,7 @@ func (st *serialState) commonNeighbors(u, v int, fn func(w int, prod int64)) int
 	keys, counts := st.adj.Row(small)
 	var cn int64
 	for i, wk := range keys {
-		if wk == adjset.Empty {
+		if wk == adjEmpty {
 			continue
 		}
 		w := int(wk)
@@ -329,13 +328,12 @@ func buildRows(st *serialState) *sortedRows {
 	sr.off[n] = total
 	sr.nbr = make([]int32, total)
 	sr.cnt = make([]int32, total)
-	sr.dg = make([]int32, total)
 	for u := 0; u < n; u++ {
 		keys, counts := st.adj.Row(u)
 		o := sr.off[u]
 		w := o
 		for i, k := range keys {
-			if k == adjset.Empty {
+			if k == adjEmpty {
 				continue
 			}
 			sr.nbr[w] = k
@@ -351,9 +349,6 @@ func buildRows(st *serialState) *sortedRows {
 				row[y], row[y-1] = row[y-1], row[y]
 				sr.cnt[o+y], sr.cnt[o+y-1] = sr.cnt[o+y-1], sr.cnt[o+y]
 			}
-		}
-		for x := o; x < w; x++ {
-			sr.dg[x] = int32(st.deg[sr.nbr[x]])
 		}
 	}
 	return sr

@@ -153,18 +153,16 @@ func RewireSharded(n int, fixed []graph.Edge, candidates []graph.Edge, opts Shar
 }
 
 // sortedRows is the rewiring adjacency as per-node sorted neighbor rows
-// with parallel multiplicity and neighbor-degree arrays, all carved from
-// flat arenas. The propose phase reads it concurrently (linear row scans
-// and sorted-row probes, no hashing); only commit-phase accepts mutate
-// it — a few ordered memmoves per accepted swap. Node degrees are
-// rewiring invariants, so the dg array never goes stale. Row capacity is
-// deg[u]: a node's distinct-neighbor count can never exceed its degree.
+// with a parallel multiplicity array, both carved from flat arenas. The
+// propose phase reads it concurrently (linear row scans and sorted-row
+// probes, no hashing); only commit-phase accepts mutate it — a few
+// ordered memmoves per accepted swap. Row capacity is deg[u]: a node's
+// distinct-neighbor count can never exceed its degree.
 type sortedRows struct {
 	off []int   // row start in the arenas
 	ln  []int32 // current distinct-neighbor count of each row
 	nbr []int32 // sorted neighbor IDs
 	cnt []int32 // multiplicities, parallel to nbr
-	dg  []int32 // neighbor degrees, parallel to nbr
 }
 
 // newShardedState builds the rewiring state directly from the edge lists:
@@ -204,7 +202,6 @@ func newShardedState(n int, fixed, candidates []graph.Edge, target map[int]float
 	sr.off[n] = total
 	sr.nbr = make([]int32, total)
 	sr.cnt = make([]int32, total)
-	sr.dg = make([]int32, total)
 	fill := make([]int32, n) // raw entries written per row so far
 	addRaw := func(e graph.Edge) {
 		if e.U == e.V {
@@ -237,9 +234,6 @@ func newShardedState(n int, fixed, candidates []graph.Edge, target map[int]float
 			x = y
 		}
 		sr.ln[u] = int32(w)
-		for x := 0; x < w; x++ {
-			sr.dg[o+x] = int32(st.deg[row[x]])
-		}
 	}
 
 	kmax := 0
@@ -367,7 +361,7 @@ func (sr *sortedRows) find(u, w int32) int {
 }
 
 // inc adds one {u,w} instance to u's row, keeping it sorted.
-func (sr *sortedRows) inc(u, w int32, degW int) {
+func (sr *sortedRows) inc(u, w int32) {
 	at := sr.find(u, w)
 	o, l := sr.off[u], int(sr.ln[u])
 	if at < o+l && sr.nbr[at] == w {
@@ -377,10 +371,8 @@ func (sr *sortedRows) inc(u, w int32, degW int) {
 	end := o + l
 	copy(sr.nbr[at+1:end+1], sr.nbr[at:end])
 	copy(sr.cnt[at+1:end+1], sr.cnt[at:end])
-	copy(sr.dg[at+1:end+1], sr.dg[at:end])
 	sr.nbr[at] = w
 	sr.cnt[at] = 1
-	sr.dg[at] = int32(degW)
 	sr.ln[u]++
 }
 
@@ -394,7 +386,6 @@ func (sr *sortedRows) dec(u, w int32) {
 	end := sr.off[u] + int(sr.ln[u])
 	copy(sr.nbr[at:end-1], sr.nbr[at+1:end])
 	copy(sr.cnt[at:end-1], sr.cnt[at+1:end])
-	copy(sr.dg[at:end-1], sr.dg[at+1:end])
 	sr.ln[u]--
 }
 
@@ -860,12 +851,12 @@ func (r *shardedRun) resolve(p *proposal, i, j, a, b int, touch []tDelta, kd []k
 			r.rows.dec(int32(b), int32(a))
 		}
 		if i != b {
-			r.rows.inc(int32(i), int32(b), degB)
-			r.rows.inc(int32(b), int32(i), st.deg[i])
+			r.rows.inc(int32(i), int32(b))
+			r.rows.inc(int32(b), int32(i))
 		}
 		if a != j {
-			r.rows.inc(int32(a), int32(j), degJ)
-			r.rows.inc(int32(j), int32(a), st.deg[a])
+			r.rows.inc(int32(a), int32(j))
+			r.rows.inc(int32(j), int32(a))
 		}
 		e1, s1 := int(p.e1), int(p.s1)
 		e2, s2 := int(p.e2), int(p.s2)

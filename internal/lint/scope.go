@@ -17,7 +17,6 @@ import "strings"
 // byte-determinism path: the pipeline phases, their storage engines, the
 // crawlers and estimators, the evaluation harness and the worker pool.
 var criticalPkgs = map[string]bool{
-	"sgr/internal/adjset":   true,
 	"sgr/internal/core":     true,
 	"sgr/internal/dkseries": true,
 	"sgr/internal/estimate": true,

@@ -10,12 +10,14 @@ import (
 // Span is one timed region of a trace. Offsets and durations are
 // microseconds of monotonic clock relative to the trace start. Count > 1
 // marks an aggregate span (a Timer): DurUS is then the accumulated active
-// time of Count start/stop episodes, beginning at StartUS.
+// time of Count start/stop episodes, beginning at StartUS. Error, when
+// not empty, marks a region that failed, with the error's text.
 type Span struct {
 	Name    string `json:"name"`
 	StartUS int64  `json:"start_usec"`
 	DurUS   int64  `json:"dur_usec"`
 	Count   int64  `json:"count,omitempty"`
+	Error   string `json:"error,omitempty"`
 }
 
 // Trace is an ordered sequence of spans sharing one start instant: the
@@ -51,17 +53,27 @@ func (t *Trace) Name() string {
 // Start opens a span and returns the closure that ends it. Spans appear
 // in Spans in start order.
 func (t *Trace) Start(name string) func() {
+	end := t.StartErr(name)
+	return func() { end(nil) }
+}
+
+// StartErr opens a span for a region that can fail and returns the
+// closure that ends it: a non-nil err marks the span with err's text.
+func (t *Trace) StartErr(name string) func(err error) {
 	if t == nil {
-		return func() {}
+		return func(error) {}
 	}
 	t.mu.Lock()
 	i := len(t.spans)
 	t.spans = append(t.spans, Span{Name: name, StartUS: time.Since(t.start).Microseconds()})
 	t.mu.Unlock()
-	return func() {
+	return func(err error) {
 		end := time.Since(t.start).Microseconds()
 		t.mu.Lock()
 		t.spans[i].DurUS = end - t.spans[i].StartUS
+		if err != nil {
+			t.spans[i].Error = err.Error()
+		}
 		t.mu.Unlock()
 	}
 }
@@ -161,6 +173,13 @@ type chromeEvent struct {
 	Dur  int64  `json:"dur"`
 	PID  int    `json:"pid"`
 	TID  int    `json:"tid"`
+	// Args carries a failed span's mark; the viewers show it on selection.
+	Args *chromeArgs `json:"args,omitempty"`
+}
+
+// chromeArgs is the args object of a failed span's event.
+type chromeArgs struct {
+	Error string `json:"error"`
 }
 
 // chromeTrace is the JSON-object container format chrome://tracing and
@@ -173,7 +192,8 @@ type chromeTrace struct {
 // WriteChrome dumps the trace in the Chrome trace_event format for
 // flame-chart viewing (chrome://tracing, ui.perfetto.dev). Plain spans
 // render on tid 1; aggregate Timer spans on tid 2, so their accumulated
-// durations do not visually nest inside phases they interleave with.
+// durations do not visually nest inside phases they interleave with. A
+// failed span's event carries its error in args.
 func (t *Trace) WriteChrome(w io.Writer) error {
 	spans := t.Spans()
 	events := make([]chromeEvent, 0, len(spans))
@@ -182,10 +202,14 @@ func (t *Trace) WriteChrome(w io.Writer) error {
 		if sp.Count > 0 {
 			tid = 2
 		}
-		events = append(events, chromeEvent{
+		ev := chromeEvent{
 			Name: sp.Name, Cat: "pipeline", Ph: "X",
 			TS: sp.StartUS, Dur: sp.DurUS, PID: 1, TID: tid,
-		})
+		}
+		if sp.Error != "" {
+			ev.Args = &chromeArgs{Error: sp.Error}
+		}
+		events = append(events, ev)
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(chromeTrace{TraceEvents: events, DisplayTimeUnit: "ms"})

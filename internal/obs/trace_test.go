@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"testing"
 	"time"
 )
@@ -105,5 +106,49 @@ func TestTraceJSONAndChrome(t *testing.T) {
 	}
 	if out.TraceEvents[1].TID != 2 {
 		t.Errorf("aggregate span event = %+v, want tid 2", out.TraceEvents[1])
+	}
+}
+
+// TestFailedSpanMarked: a span ended with an error carries its text in
+// Spans, in the JSON wire form and in the Chrome event's args, while a
+// span that succeeded keeps the bytes it had before spans could fail.
+func TestFailedSpanMarked(t *testing.T) {
+	tr := NewTrace("demo")
+	tr.StartErr("estimate")(nil)
+	tr.StartErr("phase2_jdm")(errors.New("no realizable JDM"))
+
+	spans := tr.Spans()
+	if spans[0].Error != "" || spans[1].Error != "no realizable JDM" {
+		t.Fatalf("spans = %+v, want only phase2_jdm marked", spans)
+	}
+	ok, err := json.Marshal(spans[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(ok, []byte("error")) {
+		t.Errorf("successful span JSON %s carries an error key", ok)
+	}
+
+	var buf bytes.Buffer
+	if err := tr.WriteChrome(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var out struct {
+		TraceEvents []struct {
+			Name string            `json:"name"`
+			Args map[string]string `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &out); err != nil {
+		t.Fatalf("chrome dump is not JSON: %v\n%s", err, buf.String())
+	}
+	if len(out.TraceEvents) != 2 {
+		t.Fatalf("chrome dump = %s", buf.String())
+	}
+	if out.TraceEvents[0].Args != nil {
+		t.Errorf("successful span event has args %v", out.TraceEvents[0].Args)
+	}
+	if got := out.TraceEvents[1].Args["error"]; got != "no realizable JDM" {
+		t.Errorf("failed span event args = %v, want its error", out.TraceEvents[1].Args)
 	}
 }

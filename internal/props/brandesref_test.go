@@ -15,6 +15,7 @@ import (
 	"sort"
 	"sync"
 	"testing"
+	"time"
 
 	"sgr/internal/gen"
 	"sgr/internal/graph"
@@ -205,6 +206,52 @@ func TestBrandesMatchesFrozen(t *testing.T) {
 				for _, workers := range []int{1, 2, 3, 5} {
 					got := computePaths(c, sources, scale, workers, lanes)
 					samePaths(t, fmt.Sprintf("%s %s lanes=%d workers=%d", name, mode.name, lanes, workers), got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestBrandesFoldOrderMatchesFrozen pins pathRun's in-order fold to the
+// frozen kernel run serially, bit for bit. At lanes 1 and 7 and workers 1,
+// 2, 3 and 8 the batches finish in whatever order the scheduler picks,
+// and a first job that holds one worker back (as Compute's local
+// properties do) skews that order further; with 7 lanes the last batch is
+// short, and the ten-source runs have fewer batches than workers, so some
+// workers get none. The pool must run the first job once, never allocate
+// more than workers+1 slots, and allocate exactly one at one worker.
+func TestBrandesFoldOrderMatchesFrozen(t *testing.T) {
+	for _, g := range []*graph.Graph{goldenGraph(t), gen.HolmeKim(120, 3, 0.5, rng(8))} {
+		c, _ := lccCSR(g)
+		all := pickSources(c.n, Options{ExactThreshold: c.n}.withDefaults())
+		for _, srcs := range [][]int32{all, all[:10]} {
+			if len(srcs)%7 == 0 {
+				t.Fatalf("%d sources: no short final batch at 7 lanes", len(srcs))
+			}
+			scale := float64(c.n) / float64(len(srcs))
+			want := refComputePaths(c, srcs, scale, 1)
+			for _, lanes := range []int{1, 7} {
+				for _, workers := range []int{1, 2, 3, 8} {
+					for _, held := range []bool{false, true} {
+						var first func()
+						ran := 0
+						if held {
+							first = func() {
+								ran++
+								time.Sleep(time.Millisecond)
+							}
+						}
+						r := newPathRun(c, srcs, scale, workers, lanes)
+						got := r.run(first)
+						tag := fmt.Sprintf("n=%d sources=%d lanes=%d workers=%d held=%v", c.n, len(srcs), lanes, workers, held)
+						samePaths(t, tag, got, want)
+						if held && ran != 1 {
+							t.Errorf("%s: first job ran %d times", tag, ran)
+						}
+						if r.slots > workers+1 || workers == 1 && r.slots != 1 {
+							t.Errorf("%s: %d slots allocated", tag, r.slots)
+						}
+					}
 				}
 			}
 		}

@@ -7,7 +7,6 @@ import (
 	"sync/atomic"
 
 	"sgr/internal/graph"
-	"sgr/internal/parallel"
 )
 
 // csr is the path view of a graph: distinct neighbors in ascending order
@@ -107,7 +106,7 @@ type pathCounts struct {
 // maxLanes is the widest batch: one bit of a uint64 lane mask per source.
 const maxLanes = 64
 
-// rowBudget caps the bytes of one block's dependency slots.
+// rowBudget caps the bytes of one dependency slot per worker.
 const rowBudget = 16 << 20
 
 // sigmaExact bounds the path counts a batch computes exactly. Every sigma
@@ -151,12 +150,13 @@ func newLaneWorker(n, lanes int) *laneWorker {
 	}
 }
 
-// laneLayout picks the lanes per batch of computePaths. A block runs one
-// batch per worker, and each batch writes a node-major slot of lanes*n
-// dependencies, so lanes is the widest batch (up to maxLanes) for which
-// the block's slots fit rowBudget — but at least one lane (once n*workers
-// passes 2^21 the one-lane slots exceed the budget), and no wider than an
-// even share of the sources, so every worker gets a batch.
+// laneLayout picks the lanes per batch of computePaths. Each running
+// batch writes a node-major slot of lanes*n dependencies, so lanes is the
+// widest batch (up to maxLanes) for which one slot per worker fits
+// rowBudget — but at least one lane (once n*workers passes 2^21 the
+// one-lane slots exceed the budget), and no wider than an even share of
+// the sources, so every worker gets a batch. The fold's one spare slot
+// (see pathRun) comes on top.
 func laneLayout(n, nsources, workers int) int {
 	lanes := rowBudget / (8 * n * workers)
 	lanes = min(lanes, maxLanes, (nsources+workers-1)/workers)
@@ -170,79 +170,194 @@ func laneLayout(n, nsources, workers int) int {
 // sources must be non-empty and distinct. scale multiplies the betweenness
 // contribution of each source (used by pivot approximation). lanes is the
 // number of sources one kernel call runs (1..maxLanes); 0 lets laneLayout
-// pick it.
-//
-// Betweenness is the sum over sources, in source order, of scale*delta_s[v]
-// for v != s — the float additions of one serial pass. The sources run in
-// batches of lanes consecutive sources and the batches in blocks of one
-// batch per worker: inside a block, workers claim batches with an atomic
-// cursor and each batch writes its dependencies into its own node-major
-// slot of the block buffer. Then every v adds the block's slots in batch
-// order and each slot's lanes in lane order — source order — each worker
-// owning a range of v. The integer path-length statistics stay per worker.
+// pick it. It is newPathRun(...).run(nil); Compute passes its local
+// properties to run as the first job.
 func computePaths(c *csr, sources []int32, scale float64, workers, lanes int) *PathStats {
+	return newPathRun(c, sources, scale, workers, lanes).run(nil)
+}
+
+// pathRun is one all-sources Brandes pass on a pool of workers that lives
+// for the whole pass. The sources run in batches of lanes consecutive
+// sources; the workers claim the batches in order from one cursor, and
+// each batch writes its dependencies into a node-major slot. The caller's
+// goroutine, one of the workers, may first run a job that is not a batch
+// (Compute's local properties) while the others start on the batches.
+//
+// Betweenness is the sum over sources, in source order, of
+// scale*delta_s[v] for v != s — the float additions of one serial pass.
+// A finished slot goes to the fold, which adds the batches into bc
+// strictly in batch order and each batch's lanes in lane order, so source
+// order; whichever worker finishes the next batch in order does the
+// folding, of it and of every later batch that is already done. Slots
+// come from a free list of at most workers+1, allocated on first need: a
+// worker takes a slot before it claims a batch, so every claimed, unfolded
+// batch holds one and the next batch in order is always running or done.
+// One worker never needs a second slot. The integer path-length
+// statistics stay per worker.
+type pathRun struct {
+	c       *csr
+	sources []int32
+	scale   float64
+	workers int
+	lanes   int
+	batches int
+	bc      []float64
+	lws     []*laneWorker // lws[w] is nil until worker w runs a batch
+	cursor  atomic.Int64  // next batch to claim
+
+	mu     sync.Mutex
+	freed  sync.Cond   // signalled when a slot returns to free
+	free   [][]float64 // idle slots
+	slots  int         // slots allocated so far, at most len(done)
+	done   [][]float64 // slots of finished, unfolded batches, by batch mod len(done)
+	folded int         // batches added into bc so far
+}
+
+// newPathRun sizes the pass; workers <= 0 selects GOMAXPROCS.
+func newPathRun(c *csr, sources []int32, scale float64, workers, lanes int) *pathRun {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	n := c.n
 	if lanes <= 0 {
-		lanes = laneLayout(n, len(sources), workers)
+		lanes = laneLayout(c.n, len(sources), workers)
 	}
 	lanes = min(lanes, maxLanes, len(sources))
-	span := lanes * workers
-	if span > len(sources) {
-		workers = (len(sources) + lanes - 1) / lanes
-		span = lanes * workers
+	r := &pathRun{
+		c:       c,
+		sources: sources,
+		scale:   scale,
+		workers: workers,
+		lanes:   lanes,
+		batches: (len(sources) + lanes - 1) / lanes,
+		bc:      make([]float64, c.n),
 	}
-	buf := make([]float64, span*n)
-	lws := make([]*laneWorker, workers)
-	for w := range lws {
-		lws[w] = newLaneWorker(n, lanes)
+	r.freed.L = &r.mu
+	return r
+}
+
+// run runs every batch on at most r.workers goroutines, the caller's
+// among them, and returns the statistics once all are done. The caller
+// runs first (if not nil) before it joins in, while the other workers
+// start on the batches.
+func (r *pathRun) run(first func()) *PathStats {
+	workers := min(r.workers, r.batches)
+	r.lws = make([]*laneWorker, workers)
+	r.done = make([][]float64, workers+1)
+	var wg sync.WaitGroup
+	for w := 1; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			r.work(w)
+		}()
 	}
-	bc := make([]float64, n)
-	for base := 0; base < len(sources); base += span {
-		blk := sources[base:min(base+span, len(sources))]
-		batches := (len(blk) + lanes - 1) / lanes
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		for _, lw := range lws {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for j := int(next.Add(1)) - 1; j < batches; j = int(next.Add(1)) - 1 {
-					srcs := blk[j*lanes : min((j+1)*lanes, len(blk))]
-					lw.run(c, srcs, buf[j*lanes*n:(j+1)*lanes*n], lanes)
-				}
-			}()
+	if first != nil {
+		first()
+	}
+	r.work(0)
+	wg.Wait()
+	return mergeCounts(r.lws, r.bc, len(r.sources))
+}
+
+// work is worker w's loop: take a slot, claim a batch, run it, until the
+// batches run out.
+func (r *pathRun) work(w int) {
+	for {
+		slot := r.acquire()
+		j := int(r.cursor.Add(1)) - 1
+		if j >= r.batches {
+			r.release(slot)
+			return
 		}
-		wg.Wait()
-		parallel.Blocks(workers, n, func(lo, hi int) {
-			for v := lo; v < hi; v++ {
-				acc := bc[v]
-				for j := 0; j < batches; j++ {
-					srcs := blk[j*lanes : min((j+1)*lanes, len(blk))]
-					slot := buf[(j*n+v)*lanes:]
-					for l, s := range srcs {
-						if int(s) != v {
-							acc += scale * slot[l]
-						}
-					}
-				}
-				bc[v] = acc
-			}
-		})
+		if r.lws[w] == nil {
+			r.lws[w] = newLaneWorker(r.c.n, r.lanes)
+		}
+		r.lws[w].run(r.c, r.batch(j), slot, r.lanes)
+		r.fold(j, slot)
 	}
-	return mergeCounts(lws, bc, len(sources))
+}
+
+// batch returns the sources of batch j.
+func (r *pathRun) batch(j int) []int32 {
+	return r.sources[j*r.lanes : min((j+1)*r.lanes, len(r.sources))]
+}
+
+// acquire takes an idle slot, allocates one while fewer than len(r.done)
+// exist, or waits for the fold to release one.
+func (r *pathRun) acquire() []float64 {
+	r.mu.Lock()
+	for len(r.free) == 0 && r.slots == len(r.done) {
+		r.freed.Wait()
+	}
+	if k := len(r.free) - 1; k >= 0 {
+		slot := r.free[k]
+		r.free = r.free[:k]
+		r.mu.Unlock()
+		return slot
+	}
+	r.slots++
+	r.mu.Unlock()
+	return make([]float64, r.lanes*r.c.n)
+}
+
+// release returns a slot to the free list.
+func (r *pathRun) release(slot []float64) {
+	r.mu.Lock()
+	r.free = append(r.free, slot)
+	r.mu.Unlock()
+	r.freed.Signal()
+}
+
+// fold hands the finished slot of batch j to the fold. Claimed, unfolded
+// batches are consecutive from r.folded and each holds a slot, so at most
+// len(r.done) of them exist and batch mod len(r.done) tells them apart.
+// done[r.folded mod len(r.done)] is set only while the next batch in
+// order is done and nobody is adding it, so exactly one worker takes it.
+func (r *pathRun) fold(j int, slot []float64) {
+	ring := len(r.done)
+	r.mu.Lock()
+	r.done[j%ring] = slot
+	for s := r.done[r.folded%ring]; s != nil; s = r.done[r.folded%ring] {
+		k := r.folded
+		r.done[k%ring] = nil
+		r.mu.Unlock()
+		r.add(k, s)
+		r.mu.Lock()
+		r.folded = k + 1
+		r.free = append(r.free, s)
+		r.freed.Signal()
+	}
+	r.mu.Unlock()
+}
+
+// add adds batch j's dependencies into bc: every v adds the batch's lanes
+// in lane order, skipping the lane whose source is v.
+func (r *pathRun) add(j int, slot []float64) {
+	srcs := r.batch(j)
+	for v := range r.bc {
+		row := slot[v*r.lanes:]
+		acc := r.bc[v]
+		for l, s := range srcs {
+			if int(s) != v {
+				acc += r.scale * row[l]
+			}
+		}
+		r.bc[v] = acc
+	}
 }
 
 // mergeCounts folds the workers' path-length counts into the statistics of
 // the component explored from nsources sources, whose betweenness is bc.
+// A nil worker ran no batch.
 func mergeCounts(lws []*laneWorker, bc []float64, nsources int) *PathStats {
 	n := len(bc)
 	st := &PathStats{Dist: make(map[int]float64), Betweenness: bc}
 	var totalPairs, sumLen int64
 	lenCounts := make([]int64, 0)
 	for _, lw := range lws {
+		if lw == nil {
+			continue
+		}
 		p := &lw.counts
 		if p.maxLen > st.Diameter {
 			st.Diameter = p.maxLen

@@ -16,9 +16,10 @@ type Options struct {
 	// Pivots is the number of sampled sources in approximate mode
 	// (default 1000).
 	Pivots int
-	// Workers bounds the goroutines of the all-sources passes, Brandes
-	// in Compute and the distance profiles of Dissimilarity (default
-	// GOMAXPROCS). It changes no bit of any result.
+	// Workers bounds the goroutines of Compute's pool, which runs the
+	// local properties alongside the Brandes batches, and of
+	// Dissimilarity's distance profiles (default GOMAXPROCS). It changes
+	// no bit of any result.
 	Workers int
 	// Rand picks pivots; nil selects evenly spaced sources, which keeps
 	// results deterministic.
@@ -57,33 +58,28 @@ type Result struct {
 	PathsExact           bool            // whether 8-11 used all sources
 }
 
-// Compute evaluates all 12 properties of g. The per-node properties run
-// serially; only the path properties fan out, over at most Options.Workers
-// goroutines, and the results are bit-identical at any worker count. The
-// path properties come from the bit-parallel Brandes kernel, which runs up
-// to 64 sources per call with the float additions of one serial pass: its
+// Compute evaluates all 12 properties of g on one pool of at most
+// Options.Workers goroutines that lives for the whole call, the caller's
+// among them. The caller first computes the properties that need no
+// shortest paths (2-7 and 12), serially, while the other workers start on
+// the batches of the path properties' Brandes pass; then it joins them
+// (see pathRun). The results are bit-identical at any worker count. The path
+// properties come from the bit-parallel Brandes kernel, which runs up to
+// 64 sources per call with the float additions of one serial pass: its
 // path counts are exact integers (a lane whose counts reach 2^53 re-runs
 // alone, in serial order), its dependency sums keep the serial terms and
-// arc order, and the betweenness floats merge in source order.
+// arc order, and the batches fold into the betweenness in source order.
 func Compute(g *graph.Graph, opts Options) *Result {
 	opts = opts.withDefaults()
-	// One triangle pass feeds both clustering properties.
-	local := LocalClustering(g)
-	res := &Result{
-		N:                    g.N(),
-		AvgDegree:            g.AvgDegree(),
-		DegreeDist:           DegreeDist(g),
-		NeighborConnectivity: NeighborConnectivity(g),
-		GlobalClustering:     globalClusteringOf(g, local),
-		DegreeClustering:     degreeClusteringOf(g, local),
-		ESP:                  EdgewiseSharedPartners(g),
-		Lambda1:              Lambda1(g),
-	}
+	res := &Result{N: g.N()}
+	local := func() { res.setLocal(g) }
 
 	// Shortest-path properties over the LCC, projected straight out of the
-	// shared snapshot.
+	// shared snapshot. lccCSR builds that snapshot, which is not safe to
+	// build concurrently, before the local properties read it on the pool.
 	lcc, lccDeg := lccCSR(g)
 	if lcc.n <= 1 {
+		local()
 		res.PathLenDist = map[int]float64{}
 		res.DegreeBetweenness = map[int]float64{}
 		res.PathsExact = true
@@ -94,7 +90,7 @@ func Compute(g *graph.Graph, opts Options) *Result {
 	if len(sources) < lcc.n {
 		scale = float64(lcc.n) / float64(len(sources))
 	}
-	st := computePaths(lcc, sources, scale, opts.Workers, 0)
+	st := newPathRun(lcc, sources, scale, opts.Workers, 0).run(local)
 	res.AvgPathLen = st.AvgLen
 	res.PathLenDist = st.Dist
 	res.Diameter = st.Diameter
@@ -113,6 +109,20 @@ func Compute(g *graph.Graph, opts Options) *Result {
 		res.DegreeBetweenness[k] = sum[k] / float64(n)
 	}
 	return res
+}
+
+// setLocal computes the properties that need no shortest paths: 2-7 and
+// 12 (lambda1).
+func (res *Result) setLocal(g *graph.Graph) {
+	// One triangle pass feeds both clustering properties.
+	local := LocalClustering(g)
+	res.AvgDegree = g.AvgDegree()
+	res.DegreeDist = DegreeDist(g)
+	res.NeighborConnectivity = NeighborConnectivity(g)
+	res.GlobalClustering = globalClusteringOf(g, local)
+	res.DegreeClustering = degreeClusteringOf(g, local)
+	res.ESP = EdgewiseSharedPartners(g)
+	res.Lambda1 = Lambda1(g)
 }
 
 // pickSources chooses BFS/Brandes sources: every node when the component is
