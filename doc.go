@@ -54,12 +54,13 @@
 // Production code reads adjacency in three forms: a Graph's own neighbor
 // lists, its graph.CSR snapshot (Graph.CSR().Multiplicity answers A[u][v]
 // by binary search; there is no separate multiplicity index), and the
-// rewiring engine's sorted rows. The walk estimators read the crawl's
-// neighbor lists directly. A flat open-addressing multiset survives only
-// as test support inside internal/dkseries, the adjacency of the frozen
-// serial rewiring reference that the engine is checked against
-// byte-for-byte; `make bench-json` records the engine's perf baseline in
-// BENCH_rewire.json (see README.md, "Adjacency forms").
+// rewiring engine's sorted rows, a mutable copy of the CSR distinct view.
+// The walk estimators read the crawl's neighbor lists directly. A flat
+// open-addressing multiset survives only as test support inside
+// internal/dkseries, the adjacency of the frozen serial rewiring reference
+// that the engine is checked against byte-for-byte; `make bench-json`
+// records the engine's perf baseline in BENCH_rewire.json (see README.md,
+// "Adjacency forms").
 //
 // Phase-4 rewiring — the pipeline's hot path — runs on the sharded
 // parallel engine of dkseries.RewireSharded: the candidate half-edge
@@ -103,20 +104,20 @@
 // README.md, "Restoration as a service".
 //
 // The read side runs on graph.CSR, an immutable int32 compressed-sparse-
-// row snapshot cached on the graph and invalidated by every mutator:
-// one endpoint view in original adjacency order (served zero-copy as
-// oracle neighbor pages) and one sorted distinct-neighbor/multiplicity
-// view whose rows make triangle and shared-partner counting a linear
-// sorted-merge intersection. All twelve evaluated properties, the
-// D-measure, and the oracle server share one snapshot per graph;
-// harness.Evaluate builds it once before its cells fan out. The oracle
-// additionally exposes a batched GET /v1/neighbors?ids=... endpoint that
-// oracle.Client.Prefetch drives for BFS-frontier crawls — byte-identical
-// crawls and budgets, a fraction of the round trips. Every rewritten
-// props function is pinned bit-for-bit to its frozen pre-CSR reference
-// (internal/props/csrdiff_test.go), and `make bench-props-json` records
-// the read-path baseline in BENCH_props.json (see README.md, "The read
-// path: CSR snapshots").
+// row snapshot cached on the graph and invalidated by every mutator: one
+// endpoint view in original adjacency order (served zero-copy as oracle
+// neighbor pages) and one sorted distinct-neighbor/multiplicity view whose
+// rows make triangle counting one mark-and-probe pass and
+// shared-partner counting a linear sorted-merge intersection. All twelve
+// evaluated properties, the D-measure, and the oracle server share one
+// snapshot per graph; harness.Evaluate builds it once before its cells fan
+// out. The oracle additionally exposes a batched GET /v1/neighbors?ids=...
+// endpoint that oracle.Client.Prefetch drives for BFS-frontier crawls —
+// byte-identical crawls and budgets, a fraction of the round trips. Every
+// rewritten props function is pinned bit-for-bit to its frozen pre-CSR
+// reference (internal/props/csrdiff_test.go), and `make bench-props-json`
+// records the read-path baseline in BENCH_props.json (see README.md, "The
+// read path: CSR snapshots").
 //
 // The determinism contracts are also enforced statically: cmd/sgrlint
 // (internal/lint) runs five analyzers over the typed ASTs of every

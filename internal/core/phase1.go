@@ -11,10 +11,11 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand/v2"
-	"sort"
+	"slices"
 
 	"sgr/internal/dkseries"
 	"sgr/internal/estimate"
@@ -128,12 +129,11 @@ func (s *dvState) modifyDegreeVector(sub *sampling.Subgraph, r *rand.Rand) []int
 	for i := sub.NumQueried; i < n; i++ {
 		visible = append(visible, i)
 	}
-	sort.Slice(visible, func(a, b int) bool {
-		da, db := sub.Graph.Degree(visible[a]), sub.Graph.Degree(visible[b])
-		if da != db {
-			return da > db
+	slices.SortFunc(visible, func(a, b int) int {
+		if c := cmp.Compare(sub.Graph.Degree(b), sub.Graph.Degree(a)); c != 0 {
+			return c
 		}
-		return visible[a] < visible[b]
+		return cmp.Compare(a, b)
 	})
 
 	for _, i := range visible {

@@ -1,10 +1,12 @@
 package dkseries
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"sgr/internal/gen"
 	"sgr/internal/graph"
+	"sgr/internal/props"
 )
 
 func benchSource(b *testing.B, n int) *graph.Graph {
@@ -44,7 +46,7 @@ func BenchmarkRewire(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	target := DegreeClustering(src)
+	target := props.DegreeClustering(src)
 	run := func(b *testing.B, engine func(int, []graph.Edge, []graph.Edge, rewireOptions) (*graph.Graph, RewireStats)) {
 		b.ReportAllocs()
 		var accepted int
@@ -92,7 +94,7 @@ func BenchmarkRewireAttempts(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	target := DegreeClustering(src)
+	target := props.DegreeClustering(src)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		cands := append([]graph.Edge(nil), res.Added...)
@@ -108,14 +110,6 @@ func BenchmarkRewireAttempts(b *testing.B) {
 	b.ReportMetric(float64(len(res.Added)), "attempts/op")
 }
 
-func BenchmarkDegreeClustering(b *testing.B) {
-	src := benchSource(b, 3000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		DegreeClustering(src)
-	}
-}
-
 func BenchmarkDK25(b *testing.B) {
 	src := benchSource(b, 800)
 	b.ResetTimer()
@@ -123,5 +117,24 @@ func BenchmarkDK25(b *testing.B) {
 		if _, _, err := DK25(src, 5, rng(uint64(i))); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkRewireSetup times the engine's work outside its rounds on the
+// anybeat 0.25 stand-in with every edge a candidate (Gjoka et al.'s
+// setting): newShardedState, then the output graph's assembly.
+func BenchmarkRewireSetup(b *testing.B) {
+	d, err := gen.ByName("anybeat")
+	if err != nil {
+		b.Fatal(err)
+	}
+	src := d.Build(0.25, rand.New(rand.NewPCG(3, 3^0x5bd1e995)))
+	cands := src.Edges()
+	target := props.DegreeClustering(src)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st, _ := newShardedState(src.N(), nil, cands, target)
+		assemble(src.N(), nil, st.ends)
 	}
 }

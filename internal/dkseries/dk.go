@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 
 	"sgr/internal/graph"
+	"sgr/internal/props"
 )
 
 // DK0 generates a 0K-graph of g: a random multigraph preserving only the
@@ -68,35 +69,10 @@ func DK25(g *graph.Graph, rc float64, r *rand.Rand) (*graph.Graph, RewireStats, 
 	}
 	seed1, seed2 := r.Uint64(), r.Uint64()
 	out, stats := RewireSharded(g.N(), nil, res.Added, ShardedRewireOptions{
-		TargetClustering: DegreeClustering(g),
+		TargetClustering: props.DegreeClustering(g),
 		RC:               rc,
 		Seed1:            seed1,
 		Seed2:            seed2,
 	})
 	return out, stats, nil
-}
-
-// DegreeClustering computes the exact degree-dependent clustering
-// coefficient c(k) of g (Sec. III-C): the mean of 2 t_i / (k (k-1)) over
-// nodes of degree k, with c(k) = 0 for k < 2.
-func DegreeClustering(g *graph.Graph) map[int]float64 {
-	t := g.TriangleCounts()
-	sum := make(map[int]float64)
-	cnt := make(map[int]int)
-	for u := 0; u < g.N(); u++ {
-		k := g.Degree(u)
-		cnt[k]++
-		if k >= 2 {
-			sum[k] += 2 * float64(t[u]) / (float64(k) * float64(k-1))
-		}
-	}
-	out := make(map[int]float64, len(cnt))
-	for k, c := range cnt {
-		if k >= 2 {
-			out[k] = sum[k] / float64(c)
-		} else {
-			out[k] = 0
-		}
-	}
-	return out
 }

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"sgr/internal/gen"
+	"sgr/internal/props"
 )
 
 // badRCs are the coefficients every entry point must refuse: before the
@@ -64,7 +65,7 @@ func TestAttemptBudget(t *testing.T) {
 // DK25 reports it as an error.
 func TestEnginesRefuseBadRC(t *testing.T) {
 	g := gen.HolmeKim(60, 2, 0.5, rng(40))
-	target := DegreeClustering(g)
+	target := props.DegreeClustering(g)
 	for _, tc := range badRCs {
 		mustPanic(t, "RewireSharded "+tc.name, func() {
 			RewireSharded(g.N(), nil, g.Edges(), ShardedRewireOptions{TargetClustering: target, RC: tc.rc, Workers: 1})

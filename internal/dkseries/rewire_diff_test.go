@@ -8,6 +8,7 @@ import (
 
 	"sgr/internal/gen"
 	"sgr/internal/graph"
+	"sgr/internal/props"
 )
 
 // diffInput builds one randomized rewiring problem: a clustered source
@@ -27,7 +28,7 @@ func diffInput(seed uint64, n int) (fixed, cands []graph.Edge, target map[int]fl
 	}
 	// Scale the target in ascending degree order: map range order would
 	// hand each degree a different draw on every run.
-	target = DegreeClustering(src)
+	target = props.DegreeClustering(src)
 	ks := make([]int, 0, len(target))
 	for k := range target {
 		ks = append(ks, k)

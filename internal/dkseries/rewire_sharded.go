@@ -141,15 +141,30 @@ func RewireSharded(n int, fixed []graph.Edge, candidates []graph.Edge, opts Shar
 		newShardedRun(st, rows, opts).run(total, &stats)
 	}
 	stats.FinalL1 = st.distance()
-	g := graph.NewWithDegrees(st.deg)
-	for _, e := range fixed {
-		g.AddEdge(e.U, e.V)
+	copy(candidates, st.ends)
+	return assemble(n, fixed, candidates), stats
+}
+
+// assemble builds the graph of fixed plus candidates, edges in that order,
+// with every neighbor list preallocated to its final degree, so assembly
+// does no per-edge allocation. It builds both the engine's start graph and
+// its output: rewiring preserves degrees, so the two share one shape.
+func assemble(n int, fixed, candidates []graph.Edge) *graph.Graph {
+	lists := [2][]graph.Edge{fixed, candidates}
+	deg := make([]int, n)
+	for _, es := range lists {
+		for _, e := range es {
+			deg[e.U]++ // a self-loop counts twice, as in the graph
+			deg[e.V]++
+		}
 	}
-	for i, e := range st.ends {
-		candidates[i] = e
-		g.AddEdge(e.U, e.V)
+	g := graph.NewWithDegrees(deg)
+	for _, es := range lists {
+		for _, e := range es {
+			g.AddEdge(e.U, e.V)
+		}
 	}
-	return g, stats
+	return g
 }
 
 // sortedRows is the rewiring adjacency as per-node sorted neighbor rows
@@ -165,83 +180,35 @@ type sortedRows struct {
 	cnt []int32 // multiplicities, parallel to nbr
 }
 
-// newShardedState builds the rewiring state directly from the edge lists:
-// sorted neighbor rows, and triangle counts by mark-and-probe over them.
-// The result is value-identical to the serial reference's hash-based
-// construction on the same input (triangle counts are exact integers, and
-// term/sum use the same expressions in the same accumulation order),
-// which TestShardedStateMatchesSerial pins.
+// newShardedState builds the rewiring state from the start graph (fixed
+// plus candidates, assembled like the output) through its CSR snapshot:
+// degrees and kmax come from the CSR, triangle counts from
+// graph.TriangleCounts, and sortedRows is a mutable copy of the CSR's
+// distinct view, each row given capacity deg[u]. The result is
+// value-identical to the serial reference's hash-based construction on the
+// same input (triangle counts are exact integers, and term/sum use the same
+// expressions in the same accumulation order), which
+// TestShardedStateMatchesSerial pins.
 func newShardedState(n int, fixed, candidates []graph.Edge, target map[int]float64) (*rewireState, *sortedRows) {
-	st := &rewireState{
-		deg: make([]int, n),
-		t:   make([]int64, n),
+	g := assemble(n, fixed, candidates)
+	csr := g.CSR()
+	st := &rewireState{deg: make([]int, n), t: g.TriangleCounts()}
+	sr := &sortedRows{
+		off: make([]int, n+1),
+		ln:  make([]int32, n),
+		nbr: make([]int32, 2*csr.M()), // the degree sum
+		cnt: make([]int32, 2*csr.M()),
 	}
-	bumpDeg := func(e graph.Edge) {
-		if e.U == e.V {
-			st.deg[e.U] += 2
-			return
-		}
-		st.deg[e.U]++
-		st.deg[e.V]++
-	}
-	for _, e := range fixed {
-		bumpDeg(e)
-	}
-	for _, e := range candidates {
-		bumpDeg(e)
-	}
-
-	// Sorted rows straight from the edges: raw neighbor fill, per-row
-	// sort, then run-length compression into (nbr, cnt).
-	sr := &sortedRows{off: make([]int, n+1), ln: make([]int32, n)}
-	total := 0
-	for u, d := range st.deg {
-		sr.off[u] = total
-		total += d
-	}
-	sr.off[n] = total
-	sr.nbr = make([]int32, total)
-	sr.cnt = make([]int32, total)
-	fill := make([]int32, n) // raw entries written per row so far
-	addRaw := func(e graph.Edge) {
-		if e.U == e.V {
-			return // loops carry degree but no adjacency
-		}
-		sr.nbr[sr.off[e.U]+int(fill[e.U])] = int32(e.V)
-		fill[e.U]++
-		sr.nbr[sr.off[e.V]+int(fill[e.V])] = int32(e.U)
-		fill[e.V]++
-	}
-	for _, e := range fixed {
-		addRaw(e)
-	}
-	for _, e := range candidates {
-		addRaw(e)
-	}
-	for u := 0; u < n; u++ {
-		o, raw := sr.off[u], int(fill[u])
-		row := sr.nbr[o : o+raw]
-		slices.Sort(row)
-		w := 0
-		for x := 0; x < raw; {
-			y := x + 1
-			for y < raw && row[y] == row[x] {
-				y++
-			}
-			row[w] = row[x]
-			sr.cnt[o+w] = int32(y - x)
-			w++
-			x = y
-		}
-		sr.ln[u] = int32(w)
+	for u := range st.deg {
+		st.deg[u] = csr.Degree(u)
+		sr.off[u+1] = sr.off[u] + st.deg[u]
+		nbr, mult := csr.Row(u)
+		copy(sr.nbr[sr.off[u]:], nbr)
+		copy(sr.cnt[sr.off[u]:], mult)
+		sr.ln[u] = int32(len(nbr))
 	}
 
-	kmax := 0
-	for _, d := range st.deg {
-		if d > kmax {
-			kmax = d
-		}
-	}
+	kmax := csr.MaxDegree()
 	for k := range target {
 		if k > kmax {
 			kmax = k
@@ -262,39 +229,6 @@ func newShardedState(n int, fixed, candidates []graph.Edge, target map[int]float
 	}
 	for k := range st.tgt {
 		st.normC += st.tgt[k]
-	}
-
-	// Triangle counts by mark-and-probe: every adjacent pair u < v
-	// contributes A_uv * A_uw * A_vw to t[w] for each common neighbor w —
-	// exactly t[w]'s sum over unordered pairs of w's distinct neighbors.
-	// Row u's multiplicities are stamped into a dense array once, then
-	// each higher-numbered neighbor row is probed against the stamps.
-	mark := make([]int64, n)
-	for u := 0; u < n; u++ {
-		ou, lu := sr.off[u], int(sr.ln[u])
-		for x := 0; x < lu; x++ {
-			mark[sr.nbr[ou+x]] = int64(sr.cnt[ou+x])
-		}
-		for x := 0; x < lu; x++ {
-			v := sr.nbr[ou+x]
-			if int(v) <= u {
-				continue
-			}
-			auv := int64(sr.cnt[ou+x])
-			ov, endV := sr.off[v], sr.off[v]+int(sr.ln[v])
-			for yi := ov; yi < endV; yi++ {
-				w := sr.nbr[yi]
-				// Row v never contains v itself, and w == u only when u is
-				// in both rows' intersection position — skip it; everything
-				// else marked is a common neighbor.
-				if int(w) != u && mark[w] != 0 {
-					st.t[w] += auv * mark[w] * int64(sr.cnt[yi])
-				}
-			}
-		}
-		for x := 0; x < lu; x++ {
-			mark[sr.nbr[ou+x]] = 0
-		}
 	}
 	for u := 0; u < n; u++ {
 		st.sumT[st.deg[u]] += st.t[u]

@@ -6,6 +6,7 @@ import (
 
 	"sgr/internal/gen"
 	"sgr/internal/graph"
+	"sgr/internal/props"
 )
 
 func TestRewirePreservesDegreesAndJDM(t *testing.T) {
@@ -16,7 +17,7 @@ func TestRewirePreservesDegreesAndJDM(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := DegreeClustering(src)
+	target := props.DegreeClustering(src)
 	out, stats := RewireSharded(src.N(), nil, res.Added, ShardedRewireOptions{
 		TargetClustering: target,
 		RC:               30,
@@ -39,7 +40,7 @@ func TestRewireDecreasesClusteringDistance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := DegreeClustering(src)
+	target := props.DegreeClustering(src)
 	out, stats := RewireSharded(src.N(), nil, res.Added, ShardedRewireOptions{
 		TargetClustering: target,
 		RC:               50,
@@ -59,7 +60,7 @@ func TestRewireDecreasesClusteringDistance(t *testing.T) {
 // clusteringL1 recomputes the normalized L1 distance between g's
 // degree-dependent clustering and the target, from scratch.
 func clusteringL1(g *graph.Graph, target map[int]float64) float64 {
-	present := DegreeClustering(g)
+	present := props.DegreeClustering(g)
 	num, den := 0.0, 0.0
 	kmax := g.MaxDegree()
 	for k := range target {
@@ -204,7 +205,7 @@ func TestDegreeClusteringExactValues(t *testing.T) {
 	tri.AddEdge(0, 1)
 	tri.AddEdge(1, 2)
 	tri.AddEdge(2, 0)
-	c := DegreeClustering(tri)
+	c := props.DegreeClustering(tri)
 	if math.Abs(c[2]-1) > 1e-12 {
 		t.Fatalf("triangle c(2) = %v", c[2])
 	}
@@ -213,7 +214,7 @@ func TestDegreeClusteringExactValues(t *testing.T) {
 	star.AddEdge(0, 1)
 	star.AddEdge(0, 2)
 	star.AddEdge(0, 3)
-	c = DegreeClustering(star)
+	c = props.DegreeClustering(star)
 	for k, v := range c {
 		if v != 0 {
 			t.Fatalf("star c(%d) = %v", k, v)

@@ -11,7 +11,8 @@ import (
 // multiplicity probes of Graph.Validate and the restoration post-condition.
 // It is one of three adjacency forms in production code, next to the
 // Graph's own mutable neighbor lists and the rewiring engine's sorted rows
-// (internal/dkseries). It carries two views of every node's row, both
+// (internal/dkseries), which start as a mutable copy of this snapshot's
+// distinct view. It carries two views of every node's row, both
 // int32-indexed and carved out of flat arrays so hot loops touch
 // contiguous memory instead of chasing [][]int:
 //
@@ -23,8 +24,9 @@ import (
 //   - the distinct view (Row): distinct non-self neighbors in ascending
 //     order with a parallel edge-multiplicity array, plus a per-node
 //     self-loop count. Sorted rows turn neighborhood intersection — the
-//     kernel of triangle counting and shared-partner statistics — into a
-//     linear merge, and make float accumulation order reproducible.
+//     kernel of triangle counting and shared-partner statistics — into
+//     scans of contiguous rows, and make float accumulation order
+//     reproducible.
 //
 // Obtain one via Graph.CSR(); it is cached on the graph and invalidated by
 // every mutating method. A CSR handle held across a mutation keeps

@@ -37,23 +37,38 @@ func (g *Graph) JointDegreeMatrix() map[[2]int]int {
 // t_i = sum_{j<l, j!=i, l!=i} A_ij * A_il * A_jl. Self-loops never form
 // triangles under this definition.
 func (g *Graph) TriangleCounts() []int64 {
-	t := make([]int64, g.N())
-	// Sorted distinct CSR rows turn the A_jl probe of the naive formula
-	// into a linear sorted-merge intersection:
-	// t_u = (1/2) sum_{j in N*(u)} A_uj * sp(u,j), where sp excludes both
-	// endpoints structurally. Each unordered neighbor pair (j,l) of u is
-	// counted once from j and once from l, hence the halving.
+	// Mark-and-probe over the sorted distinct CSR rows: every adjacent
+	// pair u < v contributes A_uv * A_uw * A_vw to t[w] for each common
+	// neighbor w — exactly t[w]'s sum over unordered pairs of w's distinct
+	// neighbors. Row u's multiplicities are stamped into a dense array
+	// once, then each higher-numbered neighbor row is probed against the
+	// stamps. The counts are exact integers, so the visiting order never
+	// shows in the result.
 	c := g.CSR()
+	t := make([]int64, c.n)
+	mark := make([]int64, c.n)
 	for u := range t {
 		nbr, mult := c.Row(u)
-		if len(nbr) < 2 {
-			continue
+		for x, v := range nbr {
+			mark[v] = int64(mult[x])
 		}
-		var s int64
-		for i, j := range nbr {
-			s += int64(mult[i]) * c.SharedPartners(u, int(j))
+		for x, v := range nbr {
+			if int(v) <= u {
+				continue
+			}
+			auv := int64(mult[x])
+			vn, vm := c.Row(int(v))
+			for y, w := range vn {
+				// u is never marked and row v never holds v (a distinct
+				// row excludes its own node), so a marked w is a third node.
+				if mark[w] != 0 {
+					t[w] += auv * mark[w] * int64(vm[y])
+				}
+			}
 		}
-		t[u] = s / 2
+		for _, v := range nbr {
+			mark[v] = 0
+		}
 	}
 	return t
 }

@@ -115,6 +115,14 @@ func BenchmarkEdgewiseSharedPartners(b *testing.B) {
 	}
 }
 
+func BenchmarkDegreeClustering(b *testing.B) {
+	g := benchGraph(b, 3000)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		DegreeClustering(g)
+	}
+}
+
 func BenchmarkCoreNumbers(b *testing.B) {
 	g := benchGraph(b, 5000)
 	b.ResetTimer()

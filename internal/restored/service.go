@@ -701,9 +701,9 @@ func (s *Service) run(j *Job) {
 	crawl, key := j.spec.crawl, j.ID
 	if j.spec.graphd != nil {
 		j.setRunning(PhaseCrawling)
-		endSpan := j.trace.Start("crawl")
+		endCrawl := j.trace.StartErr("crawl")
 		c, canon, err := s.crawlGraphd(j.spec)
-		endSpan()
+		endCrawl(err)
 		if err != nil {
 			s.failJob(j, "crawl", err)
 			return
@@ -772,11 +772,11 @@ func (s *Service) run(j *Job) {
 	s.rewireUsec.Observe(pres.RewireTime.Microseconds())
 
 	j.setRunning(PhaseEncoding)
-	endSpan = j.trace.Start("encode")
+	endEncode := j.trace.StartErr("encode")
 	encStart := time.Now()
 	bin, err := graph.AppendBinary(nil, pres.Graph)
 	s.encodeUsec.Observe(time.Since(encStart).Microseconds())
-	endSpan()
+	endEncode(err)
 	if err != nil {
 		s.failJob(j, "encode", err)
 		return
@@ -794,9 +794,9 @@ func (s *Service) run(j *Job) {
 		},
 		g: pres.Graph,
 	}
-	endSpan = j.trace.Start("cache_write")
+	endWrite := j.trace.StartErr("cache_write")
 	err = s.cache.Put(key, result)
-	endSpan()
+	endWrite(err)
 	if err != nil {
 		// The result survives in memory; only persistence degraded.
 		s.cfg.Logf("job %s: cache persist failed: %v", shortKey(j.ID), err)

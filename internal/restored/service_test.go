@@ -10,6 +10,7 @@ import (
 
 	"sgr/internal/core"
 	"sgr/internal/graph"
+	"sgr/internal/obs"
 	"sgr/internal/oracle"
 	"sgr/internal/sampling"
 )
@@ -317,7 +318,8 @@ func TestGraphdSourceSharesCacheWithInline(t *testing.T) {
 }
 
 // TestGraphdSourceFailure: an unreachable graphd fails the job with the
-// transport error, not a hung or bogus result.
+// transport error, not a hung or bogus result, and marks the job trace's
+// crawl span with that error.
 func TestGraphdSourceFailure(t *testing.T) {
 	svc := newTestService(t, Config{})
 	job, _, err := svc.Submit(&JobSpec{
@@ -337,6 +339,15 @@ func TestGraphdSourceFailure(t *testing.T) {
 	}
 	if st := job.Status(); st.State != StateFailed || st.Error == "" {
 		t.Fatalf("status = %+v, want failed with an error", st)
+	}
+	var crawl *obs.Span
+	for _, sp := range job.Trace().Spans() {
+		if sp.Name == "crawl" {
+			crawl = &sp
+		}
+	}
+	if crawl == nil || crawl.Error == "" {
+		t.Fatalf("crawl span = %+v, want one marked with the crawl error", crawl)
 	}
 }
 
