@@ -64,10 +64,11 @@ bench-json:
 # the same `go test`) grew more than 20% over the committed file's ratio.
 # Absolute ns/op is reported as ungated trajectory: it moves with the
 # host, the ratios do not. Each committed file is snapshotted before its
-# recording target overwrites it; the last fresh recording is left in
-# place for inspection (and for committing when an improvement should
-# become the new baseline). Every baseline is gated even after one fails,
-# so a single run reports all regressions.
+# recording target overwrites it; all five fresh recordings, concatenated,
+# are left in its place for inspection (and for committing as the new
+# baseline, so a baseline is a median of five runs, never one lucky run).
+# Every baseline is gated even after one fails, so a single run reports
+# all regressions.
 GATED_BENCH := bench-json:BENCH_rewire.json bench-props-json:BENCH_props.json
 bench-gate:
 	@st=0; for pair in $(GATED_BENCH); do \
@@ -78,8 +79,9 @@ bench-gate:
 			if $(MAKE) --no-print-directory $$target > $$tmp/log 2>&1; then cp $$file $$tmp/run$$i.json; \
 			else cat $$tmp/log; st=1; break; fi; \
 		done; \
-		jq -s '{benchmarks: map(.benchmarks[])}' $$tmp/run*.json > $$tmp/fresh.json && \
-			bash scripts/bench_gate.sh $$tmp/$$file $$tmp/fresh.json || st=1; \
+		jq -s '.[0] + {benchmarks: map(.benchmarks[])}' $$tmp/run*.json > $$tmp/fresh.json && \
+			cp $$tmp/fresh.json $$file && \
+			bash scripts/bench_gate.sh $$tmp/$$file $$file || st=1; \
 		rm -rf $$tmp; \
 	done; exit $$st
 
@@ -175,5 +177,6 @@ fuzz:
 	$(GO) test ./internal/sampling -run='^FuzzReadCrawlJSON$$' -fuzz='^FuzzReadCrawlJSON$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/restored -run='^FuzzCacheKeyCanonicalization$$' -fuzz='^FuzzCacheKeyCanonicalization$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/restored -run='^FuzzJobJournal$$' -fuzz='^FuzzJobJournal$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/oracle -run='^FuzzCrawlJournal$$' -fuzz='^FuzzCrawlJournal$$' -fuzztime=$(FUZZTIME)
 
 ci: lint build test sgrbench-test examples race fuzz bench oracle-e2e restored-e2e loadgen-e2e chaos

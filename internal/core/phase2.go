@@ -65,8 +65,18 @@ func initJDM(est *estimate.Estimates, dv dkseries.DegreeVector) *jdmState {
 		mHat: make([][]mHatCell, kmax+1),
 		dv:   dv,
 	}
-	//sgr:nondet-ok each JDD key owns disjoint mHat/jdm cells, Add is an integer add and the mHat rows are sorted below, so the writes commute
-	for kk, p := range est.JDD {
+	// Canonical keys (K <= Kp) in (K, Kp) order fill every m-hat row r
+	// ascending by construction: first the cells K < r from keys (K, r),
+	// then Kp >= r from keys (r, Kp).
+	keys := make([]estimate.DegreePair, 0, len(est.JDD))
+	for kk := range est.JDD {
+		keys = append(keys, kk)
+	}
+	slices.SortFunc(keys, func(a, b estimate.DegreePair) int {
+		return cmp.Or(cmp.Compare(a.K, b.K), cmp.Compare(a.Kp, b.Kp))
+	})
+	for _, kk := range keys {
+		p := est.JDD[kk]
 		if p <= 0 || kk.K < 1 || kk.Kp > kmax {
 			continue
 		}
@@ -84,9 +94,6 @@ func initJDM(est *estimate.Estimates, dv dkseries.DegreeVector) *jdmState {
 			m = 1
 		}
 		s.jdm.Add(kk.K, kk.Kp, m)
-	}
-	for _, r := range s.mHat {
-		slices.SortFunc(r, func(a, b mHatCell) int { return cmp.Compare(a.kp, b.kp) })
 	}
 	return s
 }

@@ -2,15 +2,6 @@ package graph
 
 import "sort"
 
-// FromEdges builds a graph with n nodes and the given edge instances.
-func FromEdges(n int, edges []Edge) *Graph {
-	g := New(n)
-	for _, e := range edges {
-		g.AddEdge(e.U, e.V)
-	}
-	return g
-}
-
 // Simplify returns a copy of g with self-loops removed and multi-edges
 // collapsed to a single edge. This mirrors the paper's dataset preprocessing.
 func (g *Graph) Simplify() *Graph {

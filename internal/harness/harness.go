@@ -41,16 +41,6 @@ var AllMethods = []Method{
 	MethodBFS, MethodSnowball, MethodFF, MethodRW, MethodGjoka, MethodProposed,
 }
 
-// ParseMethod resolves a method name (case-sensitive, as printed).
-func ParseMethod(s string) (Method, error) {
-	for _, m := range AllMethods {
-		if string(m) == s {
-			return m, nil
-		}
-	}
-	return "", fmt.Errorf("harness: unknown method %q", s)
-}
-
 // Config controls one evaluation.
 type Config struct {
 	// Fraction is the percentage of queried nodes as a fraction (0.10 for

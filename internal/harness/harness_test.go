@@ -112,16 +112,6 @@ func TestProposedBeatsSubgraphOnN(t *testing.T) {
 	}
 }
 
-func TestParseMethod(t *testing.T) {
-	m, err := ParseMethod("Proposed")
-	if err != nil || m != MethodProposed {
-		t.Fatalf("ParseMethod: %v %v", m, err)
-	}
-	if _, err := ParseMethod("nope"); err == nil {
-		t.Fatal("want error for unknown method")
-	}
-}
-
 func TestAvgSDPerPaperDefinition(t *testing.T) {
 	st := &MethodStats{}
 	for i := 0; i < 12; i++ {

@@ -10,6 +10,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"time"
 
 	"sgr/internal/obs"
@@ -31,7 +32,8 @@ type ClientConfig struct {
 	// identity. Distinct crawlers should use distinct keys.
 	APIKey string
 	// MaxRetries bounds retries per HTTP request (beyond the first
-	// attempt) on 429/5xx/transport errors. Default 8.
+	// attempt) on 429/5xx/transport errors. Default 8. A refused
+	// connection is retried once at most: nothing listens there.
 	MaxRetries int
 	// BaseBackoff is the first retry delay, doubling per attempt up to
 	// MaxBackoff. A 429's Retry-After header overrides the schedule.
@@ -470,6 +472,7 @@ func (c *Client) getJSON(url string, out any) error {
 	start := time.Now()
 	defer func() { c.queryUsec.Observe(time.Since(start).Microseconds()) }()
 	var lastErr error
+	refused := 0
 	for attempt := 0; attempt <= c.cfg.MaxRetries; attempt++ {
 		if attempt > 0 {
 			c.retries.Add(1)
@@ -481,6 +484,14 @@ func (c *Client) getJSON(url string, out any) error {
 		resp, err := c.doGet(url)
 		if err != nil {
 			lastErr = err
+			// A refused connection is a dead source, not a busy one:
+			// retry it once, then give up instead of sitting out the
+			// whole backoff schedule.
+			if errors.Is(err, syscall.ECONNREFUSED) {
+				if refused++; refused > 1 {
+					return fmt.Errorf("giving up after %d attempts: %w", attempt+1, err)
+				}
+			}
 			continue
 		}
 		body, err := io.ReadAll(io.LimitReader(resp.Body, 256<<20))

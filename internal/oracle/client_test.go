@@ -2,12 +2,15 @@ package oracle
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand/v2"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -401,5 +404,42 @@ func TestClientConstructorErrors(t *testing.T) {
 	t.Cleanup(ts.Close)
 	if _, err := NewClient(ClientConfig{BaseURL: ts.URL, MaxRetries: 1, BaseBackoff: time.Millisecond}); err == nil {
 		t.Fatal("zero-node meta must fail")
+	}
+}
+
+// countingTransport counts the HTTP attempts that reach the network.
+type countingTransport struct{ n atomic.Int64 }
+
+func (c *countingTransport) RoundTrip(r *http.Request) (*http.Response, error) {
+	c.n.Add(1)
+	return http.DefaultTransport.RoundTrip(r)
+}
+
+// TestClientRefusedFailsFast: a refused connection means nothing listens
+// at BaseURL, so at the default retry schedule (~16 s for a busy source)
+// the client retries it once and gives up.
+func TestClientRefusedFailsFast(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+
+	tr := &countingTransport{}
+	start := time.Now()
+	_, err = NewClient(ClientConfig{BaseURL: "http://" + addr, HTTPClient: &http.Client{Transport: tr}})
+	elapsed := time.Since(start)
+	if err == nil {
+		t.Fatal("client against a closed port connected")
+	}
+	if !errors.Is(err, syscall.ECONNREFUSED) {
+		t.Fatalf("error %v does not carry ECONNREFUSED", err)
+	}
+	if got := tr.n.Load(); got != 2 {
+		t.Fatalf("%d requests against a closed port, want 2", got)
+	}
+	if elapsed >= time.Second {
+		t.Fatalf("refused connection took %v to fail, want under 1s", elapsed)
 	}
 }

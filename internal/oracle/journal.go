@@ -1,14 +1,12 @@
 package oracle
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"os"
-	"sync"
 
+	"sgr/internal/applog"
 	"sgr/internal/sampling"
 )
 
@@ -41,125 +39,81 @@ type JournalEntry struct {
 // killed at any point resumes from the journal without re-spending the
 // queries already paid for: rerunning the same seeded crawl replays the
 // journaled prefix from cache and only goes back on the wire for the tail.
+// Appends are not fsynced: a tail lost to a machine crash only re-spends
+// its queries.
 type Journal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
+	log *applog.Log
 }
 
 // OpenJournal opens (or creates) the journal at path for a graph of the
 // given node count, returning the replayed entries and the recorded walk
 // (nil unless a prior crawl completed). A journal written against a
 // different node count is rejected — it belongs to a different graph. A
-// torn final line (crawler killed mid-write) is truncated away; corruption
-// anywhere else is an error.
+// torn final record (crawler killed mid-write) is truncated away;
+// corruption anywhere else, or a file that does not start with a journal
+// header, is an error and the file is left as it was.
 func OpenJournal(path string, nodes int) (*Journal, []JournalEntry, []int, error) {
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	header, err := journalLine(journalRecord{Type: "h", Version: journalFormatVersion, Nodes: nodes})
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	entries, walk, goodEnd, err := replayJournal(f, nodes)
+	r := journalReplay{nodes: nodes}
+	log, err := applog.Open(path, header, r.decode)
 	if err != nil {
-		f.Close()
 		return nil, nil, nil, fmt.Errorf("oracle: journal %s: %w", path, err)
 	}
-	// Drop any torn tail, position appends after the last good line.
-	if err := f.Truncate(goodEnd); err != nil {
-		f.Close()
-		return nil, nil, nil, err
-	}
-	if _, err := f.Seek(goodEnd, io.SeekStart); err != nil {
-		f.Close()
-		return nil, nil, nil, err
-	}
-	j := &Journal{f: f, path: path}
-	if goodEnd == 0 {
-		// Fresh (or fully torn) journal: stamp the header first.
-		if err := j.append(journalRecord{Type: "h", Version: journalFormatVersion, Nodes: nodes}); err != nil {
-			f.Close()
-			return nil, nil, nil, err
-		}
-	}
-	return j, entries, walk, nil
+	return &Journal{log: log}, r.entries, r.walk, nil
 }
 
-// replayJournal parses the journal, validating the header against nodes.
-// It returns the parsed entries, the last recorded walk, and the byte
-// offset after the last well-formed line. A parse failure on the final
-// line is tolerated (the offset excludes it); earlier failures error.
-func replayJournal(f *os.File, nodes int) (entries []JournalEntry, walk []int, goodEnd int64, err error) {
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	var offset int64
-	line := 0
-	for sc.Scan() {
-		raw := sc.Bytes()
-		lineEnd := offset + int64(len(raw)) + 1 // +1 for the newline
-		line++
-		var rec journalRecord
-		if jerr := json.Unmarshal(raw, &rec); jerr != nil || rec.Type == "" {
-			// Tolerate only a torn final line (a crawler killed
-			// mid-append): it must follow a well-formed header and lack
-			// the trailing newline that marks a completed write. An
-			// unparseable *first* line means the file is not a journal at
-			// all — erroring out beats silently truncating what might be
-			// the user's unrelated file.
-			if goodEnd > 0 && peekEOF(sc) && lineEnd > fileSize(f) {
-				return entries, walk, goodEnd, nil
-			}
-			if jerr == nil {
-				jerr = errors.New("missing record type")
-			}
-			return nil, nil, 0, fmt.Errorf("line %d: not a crawl journal: %w", line, jerr)
-		}
-		switch rec.Type {
-		case "h":
-			if line != 1 {
-				return nil, nil, 0, fmt.Errorf("line %d: unexpected header", line)
-			}
-			if rec.Version != journalFormatVersion {
-				return nil, nil, 0, fmt.Errorf("unsupported journal version %d", rec.Version)
-			}
-			if rec.Nodes != nodes {
-				return nil, nil, 0, fmt.Errorf("journal is for a graph with %d nodes, server has %d", rec.Nodes, nodes)
-			}
-		case "q":
-			if line == 1 {
-				return nil, nil, 0, errors.New("missing header line")
-			}
-			entries = append(entries, JournalEntry{U: rec.U, Neighbors: rec.Neighbors, Private: rec.Private})
-			// A query after a walk record means a longer crawl resumed
-			// past a completed shorter one and was interrupted: the old
-			// walk no longer describes the journal's full query set, so
-			// it must not be served as a finished crawl.
-			walk = nil
-		case "w":
-			if line == 1 {
-				return nil, nil, 0, errors.New("missing header line")
-			}
-			walk = rec.Walk
-		default:
-			return nil, nil, 0, fmt.Errorf("line %d: unknown record type %q", line, rec.Type)
-		}
-		offset = lineEnd
-		goodEnd = offset
-	}
-	if serr := sc.Err(); serr != nil {
-		return nil, nil, 0, serr
-	}
-	return entries, walk, goodEnd, nil
+// journalLine renders one record as its JSON line.
+func journalLine(rec journalRecord) ([]byte, error) {
+	buf, err := json.Marshal(rec)
+	return append(buf, '\n'), err
 }
 
-// peekEOF reports whether the scanner has no further lines. Scanning
-// consumes them, so it is only called on the error path.
-func peekEOF(sc *bufio.Scanner) bool { return !sc.Scan() }
+// journalReplay decodes journal lines for applog: it validates the
+// header against nodes (any count when nodes < 0) and collects the
+// entries and the last walk that no later query invalidated.
+type journalReplay struct {
+	nodes   int
+	entries []JournalEntry
+	walk    []int
+}
 
-func fileSize(f *os.File) int64 {
-	st, err := f.Stat()
-	if err != nil {
-		return 0
+func (r *journalReplay) decode(i int, line []byte) error {
+	var rec journalRecord
+	if err := json.Unmarshal(line, &rec); err != nil {
+		return fmt.Errorf("not a crawl journal: %w", err)
 	}
-	return st.Size()
+	if i == 0 && rec.Type != "h" {
+		return errors.New("missing header line")
+	}
+	switch rec.Type {
+	case "h":
+		if i != 0 {
+			return errors.New("unexpected header")
+		}
+		if rec.Version != journalFormatVersion {
+			return fmt.Errorf("unsupported journal version %d", rec.Version)
+		}
+		if r.nodes >= 0 && rec.Nodes != r.nodes {
+			return fmt.Errorf("journal is for a graph with %d nodes, server has %d", rec.Nodes, r.nodes)
+		}
+	case "q":
+		r.entries = append(r.entries, JournalEntry{U: rec.U, Neighbors: rec.Neighbors, Private: rec.Private})
+		// A query after a walk record means a longer crawl resumed
+		// past a completed shorter one and was interrupted: the old
+		// walk no longer describes the journal's full query set, so
+		// it must not be served as a finished crawl.
+		r.walk = nil
+	case "w":
+		r.walk = rec.Walk
+	case "":
+		return errors.New("not a crawl journal: missing record type")
+	default:
+		return fmt.Errorf("unknown record type %q", rec.Type)
+	}
+	return nil
 }
 
 // Append records one answered neighbor query.
@@ -175,77 +129,54 @@ func (j *Journal) AppendWalk(walk []int) error {
 }
 
 func (j *Journal) append(rec journalRecord) error {
-	buf, err := json.Marshal(rec)
+	line, err := journalLine(rec)
 	if err != nil {
 		return err
 	}
-	buf = append(buf, '\n')
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	_, err = j.f.Write(buf)
-	return err
+	return j.log.Append(line)
 }
 
-// Close flushes and closes the journal file.
-func (j *Journal) Close() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.f.Close()
-}
+// Close closes the journal file.
+func (j *Journal) Close() error { return j.log.Close() }
 
-// LoadCrawlFromJournal reconstructs a sampling.Crawl from a crawl journal:
-// queried nodes in journal (= first-query) order, their neighbor lists,
-// and the walk sequence if the crawl completed. The result round-trips
-// through the same restoration pipeline as a crawl JSON file.
+// LoadCrawlFromJournal reads the crawl journal at path and reconstructs
+// its crawl with ParseCrawlJournal.
 func LoadCrawlFromJournal(path string) (*sampling.Crawl, error) {
-	f, err := os.Open(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	defer f.Close()
-	// Replay without a node-count check: -1 never matches, so probe the
-	// header first.
-	header, err := readJournalHeader(f)
+	c, err := ParseCrawlJournal(data)
 	if err != nil {
-		return nil, fmt.Errorf("oracle: journal %s: %w", path, err)
+		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
+	return c, nil
+}
+
+// ParseCrawlJournal reconstructs a sampling.Crawl from a crawl journal's
+// bytes: queried nodes in journal (= first-query) order, their neighbor
+// lists, and the walk sequence if the crawl completed. The header's node
+// count is not checked, and a torn final record is ignored. The result
+// round-trips through the same restoration pipeline as a crawl JSON file.
+func ParseCrawlJournal(data []byte) (*sampling.Crawl, error) {
+	r := journalReplay{nodes: -1}
+	if _, err := applog.Replay(data, r.decode); err != nil {
+		return nil, fmt.Errorf("oracle: journal: %w", err)
 	}
-	entries, walk, _, err := replayJournal(f, header.Nodes)
-	if err != nil {
-		return nil, fmt.Errorf("oracle: journal %s: %w", path, err)
+	if len(data) == 0 {
+		return nil, errors.New("oracle: journal: empty journal")
 	}
-	queried := make([]int, len(entries))
-	neighbors := make([][]int, len(entries))
-	for i, e := range entries {
+	queried := make([]int, len(r.entries))
+	neighbors := make([][]int, len(r.entries))
+	for i, e := range r.entries {
 		queried[i] = e.U
 		neighbors[i] = e.Neighbors
 	}
 	// sampling.NewCrawl is the shared validator, so journals and crawl
 	// JSON files accept exactly the same shapes.
-	c, err := sampling.NewCrawl(queried, neighbors, walk)
+	c, err := sampling.NewCrawl(queried, neighbors, r.walk)
 	if err != nil {
-		return nil, fmt.Errorf("oracle: journal %s: %w", path, err)
+		return nil, fmt.Errorf("oracle: journal: %w", err)
 	}
 	return c, nil
-}
-
-func readJournalHeader(f *os.File) (*journalRecord, error) {
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 0, 64*1024), 64*1024*1024)
-	if !sc.Scan() {
-		if err := sc.Err(); err != nil {
-			return nil, err
-		}
-		return nil, errors.New("empty journal")
-	}
-	var rec journalRecord
-	if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-		return nil, fmt.Errorf("header: %w", err)
-	}
-	if rec.Type != "h" {
-		return nil, errors.New("missing header line")
-	}
-	return &rec, nil
 }

@@ -105,6 +105,45 @@ func TestJournalTruncatesTornTail(t *testing.T) {
 	}
 }
 
+// TestJournalTruncatesDamagedFinalRecord: a damaged final record is a
+// torn tail even when its newline made it to disk, so the journal opens,
+// drops it and resumes appending.
+func TestJournalTruncatesDamagedFinalRecord(t *testing.T) {
+	path := journalPath(t)
+	j, _, _, err := OpenJournal(path, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j.Append(4, []int{1, 2}, false)
+	j.Close()
+	intact, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(intact, "{\"t\":\"q\",\"u\":7,\"nb\":[1,\x00\n"...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	j2, entries, _, err := OpenJournal(path, 100)
+	if err != nil {
+		t.Fatalf("damaged final record must be a torn tail: %v", err)
+	}
+	if len(entries) != 1 || entries[0].U != 4 {
+		t.Fatalf("entries = %+v, want just node 4", entries)
+	}
+	if err := j2.Append(7, []int{1, 2, 3}, false); err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := string(intact) + `{"t":"q","u":7,"nb":[1,2,3]}` + "\n"; string(after) != want {
+		t.Fatalf("resumed journal = %q, want %q", after, want)
+	}
+}
+
 // TestJournalRefusesNonJournalFile: torn-tail tolerance must never
 // truncate a file that was never a journal — a wrong -journal path is a
 // user error, not recoverable corruption.

@@ -6,8 +6,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"hash"
-	"os"
-	"strings"
 	"time"
 
 	"sgr/internal/dkseries"
@@ -97,7 +95,7 @@ func resolveSpec(spec *JobSpec) (*jobSpec, error) {
 			return nil, err
 		}
 	case spec.Journal != "":
-		c, err := crawlFromJournalText(spec.Journal)
+		c, err := oracle.ParseCrawlJournal([]byte(spec.Journal))
 		if err != nil {
 			return nil, err
 		}
@@ -208,30 +206,4 @@ func (ps *jobSpec) walSpec() *JobSpec {
 		spec.Crawl = ps.canon
 	}
 	return spec
-}
-
-// crawlFromJournalText parses an uploaded oracle crawl journal. Journal
-// replay is file-oriented (torn-tail handling measures byte offsets), so
-// the upload round-trips through a temporary file.
-func crawlFromJournalText(text string) (*sampling.Crawl, error) {
-	f, err := os.CreateTemp("", "restored-journal-*.jsonl")
-	if err != nil {
-		return nil, err
-	}
-	path := f.Name()
-	defer os.Remove(path)
-	if _, err := f.WriteString(text); err != nil {
-		f.Close()
-		return nil, err
-	}
-	if err := f.Close(); err != nil {
-		return nil, err
-	}
-	c, err := oracle.LoadCrawlFromJournal(path)
-	if err != nil {
-		// Strip the throwaway temp path from the message; the caller
-		// uploaded bytes, not a file.
-		return nil, fmt.Errorf("journal: %s", strings.ReplaceAll(err.Error(), path, "upload"))
-	}
-	return c, nil
 }

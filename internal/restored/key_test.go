@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math"
 	"math/rand/v2"
+	"path/filepath"
 	"reflect"
 	"strings"
 	"testing"
@@ -269,6 +270,18 @@ func TestJournalUploadResolvesLikeCrawl(t *testing.T) {
 	}
 	if !bytes.Equal(inline.canon, fromJournal.canon) {
 		t.Fatal("journal upload and inline crawl canonicalized differently")
+	}
+}
+
+// TestJournalUploadParsesInMemory: an uploaded journal is parsed from the
+// request bytes, never staged on disk, so it resolves with no usable temp
+// directory, to the same key as the crawl sent as crawl JSON.
+func TestJournalUploadParsesInMemory(t *testing.T) {
+	t.Setenv("TMPDIR", filepath.Join(t.TempDir(), "missing"))
+	g, c := testGraphAndCrawl(t, 11, 0.12)
+	inline := mustKey(t, &JobSpec{Seed: 2, Crawl: crawlJSONBytes(t, c)})
+	if got := mustKey(t, &JobSpec{Seed: 2, Journal: journalText(t, c, g.N())}); got != inline {
+		t.Fatal("journal upload and inline crawl resolved to different keys")
 	}
 }
 

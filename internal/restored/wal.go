@@ -1,13 +1,12 @@
 package restored
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"hash/crc32"
-	"os"
 	"path/filepath"
-	"sync"
+
+	"sgr/internal/applog"
 )
 
 // The job WAL makes accepted work durable: every submission is appended
@@ -21,11 +20,12 @@ import (
 //
 // Format: JSON lines, each prefixed by the IEEE CRC32 of its payload in
 // fixed-width hex — "crc32hex payload\n". The first record is a header
-// pinning the format version. Like the oracle crawl journal, a torn final
-// record (the crash-mid-append case an fsynced append-only file can
-// produce) is tolerated and truncated away; damage anywhere earlier is a
-// hard error, because silently dropping interior records would silently
-// drop accepted jobs.
+// pinning the format version. The file mechanics, and the torn-tail rule
+// shared with the oracle crawl journal, are package applog's: a damaged
+// final record after an intact header (the crash-mid-append case) is
+// truncated away; damage anywhere earlier, or a damaged header, is a hard
+// error, because silently dropping interior records would silently drop
+// accepted jobs.
 //
 // Everything in the WAL is recovery bookkeeping — wall-clock-only state.
 // Nothing here feeds the content address: the id stored in a record was
@@ -101,82 +101,66 @@ func decodeWALLine(line []byte) (walRecord, error) {
 	}
 }
 
-// parseWAL replays a journal image: the records of the intact prefix and
-// the byte offset that prefix ends at. A malformed or CRC-failing segment
-// is tolerated — reported via goodEnd < len(data) with a nil error — only
-// when nothing but that segment follows it (a torn tail, the shape a
-// crash mid-append leaves). Malformed content with records after it is
-// corruption, not tearing, and errors out.
-func parseWAL(data []byte) (recs []walRecord, goodEnd int, err error) {
-	for goodEnd < len(data) {
-		rest := data[goodEnd:]
-		nl := bytes.IndexByte(rest, '\n')
-		if nl < 0 {
-			// Unterminated tail: torn by definition (appends end in \n).
-			return recs, goodEnd, nil
+// walDecoder decodes WAL lines for applog, appending every record,
+// header included, to recs. The first record must be a header of the
+// current version.
+func walDecoder(recs *[]walRecord) func(i int, line []byte) error {
+	return func(i int, line []byte) error {
+		rec, err := decodeWALLine(line)
+		if err != nil {
+			return err
 		}
-		rec, derr := decodeWALLine(rest[:nl])
-		if derr != nil {
-			if goodEnd+nl+1 >= len(data) {
-				return recs, goodEnd, nil // damaged final record: torn tail
-			}
-			return recs, goodEnd, fmt.Errorf("restored: wal record at byte %d: %v", goodEnd, derr)
-		}
-		if len(recs) == 0 {
+		if i == 0 {
 			if rec.T != walTypeHeader {
-				return nil, 0, fmt.Errorf("restored: wal does not start with a header record")
+				return fmt.Errorf("wal does not start with a header record")
 			}
 			if rec.Version != walVersion {
-				return nil, 0, fmt.Errorf("restored: wal version %d, want %d", rec.Version, walVersion)
+				return fmt.Errorf("wal version %d, want %d", rec.Version, walVersion)
 			}
 		}
-		recs = append(recs, rec)
-		goodEnd += nl + 1
+		*recs = append(*recs, rec)
+		return nil
+	}
+}
+
+// parseWAL replays a journal image under applog's torn-tail rule: the
+// records of the intact prefix, header included, and the byte offset
+// that prefix ends at.
+func parseWAL(data []byte) (recs []walRecord, goodEnd int, err error) {
+	goodEnd, err = applog.Replay(data, walDecoder(&recs))
+	if err != nil {
+		return nil, goodEnd, fmt.Errorf("restored: wal: %w", err)
 	}
 	return recs, goodEnd, nil
 }
 
-// walJournal is the open journal: an append-only file whose every write
+// walJournal is the open journal: an append-only log whose every record
 // is CRC-framed and fsynced before the job it records becomes runnable.
 type walJournal struct {
-	mu   sync.Mutex
-	f    *os.File
-	path string
+	log *applog.Log
 }
 
 // openWAL opens (creating if absent) the journal at path, replays it, and
 // truncates a torn tail so appends continue from the last intact record.
 // The returned records exclude the header.
 func openWAL(path string) (*walJournal, []walRecord, error) {
-	data, err := os.ReadFile(path)
-	if err != nil && !os.IsNotExist(err) {
-		return nil, nil, err
-	}
-	recs, goodEnd, err := parseWAL(data)
+	header, err := appendWALLine(nil, walRecord{T: walTypeHeader, Version: walVersion})
 	if err != nil {
 		return nil, nil, err
 	}
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_CREATE, 0o644)
+	var recs []walRecord
+	log, err := applog.Open(path, header, walDecoder(&recs))
 	if err != nil {
+		return nil, nil, fmt.Errorf("restored: wal: %w", err)
+	}
+	if err := log.Sync(); err != nil { // a freshly stamped header
+		log.Close()
 		return nil, nil, err
 	}
-	w := &walJournal{f: f, path: path}
-	if err := f.Truncate(int64(goodEnd)); err != nil {
-		f.Close()
-		return nil, nil, err
+	if len(recs) > 0 {
+		recs = recs[1:] // the header
 	}
-	if _, err := f.Seek(int64(goodEnd), 0); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	if len(recs) == 0 {
-		if err := w.append(walRecord{T: walTypeHeader, Version: walVersion}); err != nil {
-			f.Close()
-			return nil, nil, err
-		}
-		return w, nil, nil
-	}
-	return w, recs[1:], nil
+	return &walJournal{log: log}, recs, nil
 }
 
 // append writes one record and syncs it to stable storage. Durability
@@ -188,22 +172,18 @@ func (w *walJournal) append(rec walRecord) error {
 	if err != nil {
 		return err
 	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if _, err := w.f.Write(line); err != nil {
+	if err := w.log.Append(line); err != nil {
 		return err
 	}
-	return w.f.Sync()
+	return w.log.Sync()
 }
 
-// rewrite compacts the journal to a header plus recs, atomically
-// (write-temp, fsync, rename — the cache's own persistence idiom). Called
+// rewrite compacts the journal to a header plus recs, atomically. Called
 // at startup after replay, when every record for a finished job is dead
 // weight; must not race appends.
 func (w *walJournal) rewrite(recs []walRecord) error {
-	var buf []byte
-	var err error
-	if buf, err = appendWALLine(buf, walRecord{T: walTypeHeader, Version: walVersion}); err != nil {
+	buf, err := appendWALLine(nil, walRecord{T: walTypeHeader, Version: walVersion})
+	if err != nil {
 		return err
 	}
 	for _, rec := range recs {
@@ -211,46 +191,11 @@ func (w *walJournal) rewrite(recs []walRecord) error {
 			return err
 		}
 	}
-	tmp := w.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(buf); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, w.path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	old := w.f
-	nf, err := os.OpenFile(w.path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		return err
-	}
-	w.f = nf
-	return old.Close()
+	return w.log.Rewrite(buf)
 }
 
 // Close releases the journal file.
-func (w *walJournal) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.f.Close()
-}
+func (w *walJournal) Close() error { return w.log.Close() }
 
 // walPath locates the journal under a cache dir.
 func walPath(cacheDir string) string { return filepath.Join(cacheDir, walName) }

@@ -198,6 +198,31 @@ func TestWALTornTail(t *testing.T) {
 		}
 	})
 
+	t.Run("damaged header", func(t *testing.T) {
+		// A header is never a torn tail: a file whose only record is a
+		// damaged header is refused and left byte-identical, not
+		// truncated and re-stamped over.
+		dir := t.TempDir()
+		line, err := appendWALLine(nil, walRecord{T: walTypeHeader, Version: walVersion})
+		if err != nil {
+			t.Fatal(err)
+		}
+		line[len(line)-2] ^= 0x01
+		if err := os.WriteFile(walPath(dir), line, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := openWAL(walPath(dir)); err == nil {
+			t.Fatal("damaged header accepted")
+		}
+		after, err := os.ReadFile(walPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(after, line) {
+			t.Fatalf("refused wal was modified: %q", after)
+		}
+	})
+
 	t.Run("version mismatch", func(t *testing.T) {
 		dir := t.TempDir()
 		line, err := appendWALLine(nil, walRecord{T: walTypeHeader, Version: walVersion + 1})

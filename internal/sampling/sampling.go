@@ -78,29 +78,19 @@ func (ps *prefetcher) consume() {
 	}
 }
 
-// GraphAccess adapts a concrete graph to the Access interface while counting
-// distinct queried nodes, so experiments can report query budgets.
+// GraphAccess adapts a concrete graph to the Access interface.
 type GraphAccess struct {
-	G       *graph.Graph
-	queried map[int]struct{}
+	G *graph.Graph
 }
 
 // NewGraphAccess wraps g.
-func NewGraphAccess(g *graph.Graph) *GraphAccess {
-	return &GraphAccess{G: g, queried: make(map[int]struct{})}
-}
+func NewGraphAccess(g *graph.Graph) *GraphAccess { return &GraphAccess{G: g} }
 
-// NeighborsOf implements Access and records the query.
-func (a *GraphAccess) NeighborsOf(u int) []int {
-	a.queried[u] = struct{}{}
-	return a.G.Neighbors(u)
-}
+// NeighborsOf implements Access.
+func (a *GraphAccess) NeighborsOf(u int) []int { return a.G.Neighbors(u) }
 
 // NumNodes implements Access.
 func (a *GraphAccess) NumNodes() int { return a.G.N() }
-
-// QueriedCount returns the number of distinct nodes queried so far.
-func (a *GraphAccess) QueriedCount() int { return len(a.queried) }
 
 // Crawl is the outcome of any crawling method: the order in which distinct
 // nodes were first queried, their neighbor lists (the sampling list L), and,
@@ -116,13 +106,6 @@ type Crawl struct {
 
 // NumQueried returns the number of distinct queried nodes.
 func (c *Crawl) NumQueried() int { return len(c.Queried) }
-
-// DegreeOf returns the true degree of a queried node (its neighbor-list
-// length) and whether the node was queried.
-func (c *Crawl) DegreeOf(u int) (int, bool) {
-	nb, ok := c.Neighbors[u]
-	return len(nb), ok
-}
 
 type recorder struct {
 	access Access

@@ -4,9 +4,10 @@
 #
 # Usage: bench_gate.sh COMMITTED.json FRESH.json [MAX_REGRESSION_PCT]
 #
-# Both files are benchjson documents. FRESH.json may hold several rows per
-# benchmark, one per run (`make bench-gate` records the baseline several
-# times and concatenates the runs).
+# Both files are benchjson documents and may hold several rows per
+# benchmark, one per run (`make bench-gate` records the baseline five
+# times, concatenates the runs, and leaves the concatenation in place as
+# the next committed baseline).
 #
 # The gate divides, not subtracts: each production benchmark in PAIRS
 # below is timed against a frozen reference that runs in the same
@@ -14,7 +15,7 @@
 # production benchmark, Rewire/adjset two rows before sharded1), so both
 # see the same host. Its fresh
 # ratio is the median over runs of production ns/op / reference ns/op;
-# the committed ratio comes from COMMITTED.json. A pair whose fresh ratio
+# the committed ratio is the same median over COMMITTED.json's runs. A pair whose fresh ratio
 # exceeds the committed one by more than MAX_REGRESSION_PCT (default 20)
 # fails the gate. Absolute ns/op moves with the host (a shared VM runs
 # 1.5-2x slower in stretches), so every other benchmark in both files is
