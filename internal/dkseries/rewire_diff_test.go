@@ -1,6 +1,9 @@
 package dkseries
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
 	"math"
 	"math/rand/v2"
 	"slices"
@@ -86,6 +89,36 @@ func TestRewireDifferentialAdjsetVsMap(t *testing.T) {
 			if stA.Accepted == 0 {
 				t.Errorf("seed %d forbid=%v: rewiring accepted nothing — weak differential input", seed, forbid)
 			}
+		}
+	}
+}
+
+// TestRewireSerialRefDigest pins rewireSerialRef's bytes (output graph,
+// final candidate endpoints, stats with their float64 L1 bits) on the
+// differential inputs, with and without ForbidDegenerate. The digests were
+// recorded while the frozen map-based engine still held the reference to
+// the same bytes.
+func TestRewireSerialRefDigest(t *testing.T) {
+	for _, tc := range []struct {
+		forbid bool
+		want   string
+	}{
+		{false, "b30a63755562e3e15e88e71b37213653d511bed65d5d1f6e720a6fdbdfc0cc10"},
+		{true, "373c657f092fcf04dbdd283674eb784c7a87ce5600ab7ddb8aa68ba8e1f1ec58"},
+	} {
+		h := sha256.New()
+		for seed := uint64(1); seed <= 8; seed++ {
+			fixed, cands, target := diffInput(seed, 120+int(seed)*30)
+			g, st := rewireSerialRef(nodeCount(fixed, cands), fixed, cands, rewireOptions{
+				TargetClustering: target, RC: 6,
+				Rand: rand.New(rand.NewPCG(seed, 99)), ForbidDegenerate: tc.forbid})
+			if st.Accepted == 0 {
+				t.Errorf("seed %d forbid=%v: rewiring accepted nothing — weak input", seed, tc.forbid)
+			}
+			fmt.Fprintln(h, rewireDigest(g, cands, st))
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != tc.want {
+			t.Errorf("forbid=%v: digest %s, want %s", tc.forbid, got, tc.want)
 		}
 	}
 }
