@@ -51,14 +51,17 @@ define record-bench
 	cat $(2)
 endef
 
-# Rewiring-engine perf baseline: BenchmarkRewire (the frozen serial adjset
-# and map references, and the sharded engine at 1 and 8 workers) and
-# BenchmarkRestoreEndToEnd, with allocation stats.
+# Pipeline perf baseline: BenchmarkRewire (the frozen serial adjset
+# reference, and the sharded engine at 1 and 8 workers),
+# BenchmarkRestoreEndToEnd, and BenchmarkRestoreSpans (a parsed crawl
+# through the estimate and subgraph spans, next to the frozen map-based
+# path), with allocation stats. The spans take about a millisecond, so
+# they get the oracle iteration count.
 bench-json:
-	$(call record-bench,$(GO) test -run='^$$' -bench='^(BenchmarkRewire|BenchmarkRestoreEndToEnd)$$' -benchmem -benchtime=$(BENCHTIME) ./internal/dkseries ./internal/core,BENCH_rewire.json)
+	$(call record-bench,$(GO) test -run='^$$' -bench='^(BenchmarkRewire|BenchmarkRestoreEndToEnd)$$' -benchmem -benchtime=$(BENCHTIME) ./internal/dkseries ./internal/core && $(GO) test -run='^$$' -bench='^BenchmarkRestoreSpans$$' -benchmem -benchtime=$(ORACLE_BENCHTIME) ./internal/estimate,BENCH_rewire.json)
 
-# bench-gate re-records each gated baseline — the rewiring engine
-# (BENCH_rewire.json) and the property/read path (BENCH_props.json) — five
+# bench-gate re-records each gated baseline — the rewiring engine and the
+# crawl's consumers (BENCH_rewire.json) and the property/read path (BENCH_props.json) — five
 # times and hands the runs to scripts/bench_gate.sh, which fails when the
 # median ratio of a production benchmark to its frozen reference (timed in
 # the same `go test`) grew more than 20% over the committed file's ratio.

@@ -143,8 +143,8 @@ func main() {
 				log.Fatal(err)
 			}
 		}
-		if *journal != "" && len(c.Walk) > 0 {
-			if err := client.RecordWalk(c.Walk); err != nil {
+		if *journal != "" && len(c.Walk()) > 0 {
+			if err := client.RecordWalk(c.Walk()); err != nil {
 				log.Fatal(err)
 			}
 		}

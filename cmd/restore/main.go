@@ -101,7 +101,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if len(crawl.Walk) == 0 {
+		if len(crawl.Walk()) == 0 {
 			log.Fatal("saved crawl has no walk sequence (restoration needs a random-walk crawl)")
 		}
 	case *journal != "":
@@ -109,7 +109,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		if len(crawl.Walk) == 0 {
+		if len(crawl.Walk()) == 0 {
 			log.Fatal("journal has no walk record: the remote crawl did not complete (rerun crawl -url -journal with the same seed to resume it)")
 		}
 	default:
@@ -120,7 +120,7 @@ func main() {
 		}
 	}
 	fmt.Printf("random walk: %d distinct queried nodes, %d steps\n",
-		crawl.NumQueried(), len(crawl.Walk))
+		crawl.NumQueried(), len(crawl.Walk()))
 
 	// The trace changes nothing about the restoration: spans read the
 	// monotonic clock only, so the output graph is byte-identical with or

@@ -55,7 +55,8 @@
 // lists, its graph.CSR snapshot (Graph.CSR().Multiplicity answers A[u][v]
 // by binary search; there is no separate multiplicity index), and the
 // rewiring engine's sorted rows, a mutable copy of the CSR distinct view.
-// The walk estimators read the crawl's neighbor lists directly. A flat
+// The walk estimators read the crawl's dense labeling, which the crawl
+// computes once and shares with the sampled subgraph. A flat
 // open-addressing multiset survives only as test support inside
 // internal/dkseries, the adjacency of the frozen serial rewiring reference
 // that the engine is checked against byte-for-byte; `make bench-json`

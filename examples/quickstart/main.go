@@ -34,7 +34,7 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("random walk: queried %d nodes (10%%), walk length %d\n",
-		crawl.NumQueried(), len(crawl.Walk))
+		crawl.NumQueried(), len(crawl.Walk()))
 
 	// The induced subgraph G' (what subgraph sampling would return).
 	sub := sgr.BuildSubgraph(crawl)

@@ -25,7 +25,10 @@ func TestLoadGraphErrors(t *testing.T) {
 }
 
 func TestEstimateRejectsNonWalk(t *testing.T) {
-	c := &sgr.Crawl{Queried: []int{0}, Neighbors: map[int][]int{0: {1}}}
+	c, err := sgr.NewCrawl([]int{0}, [][]int{{1}}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if _, err := sgr.Estimate(c); err == nil {
 		t.Fatal("want error for crawl without walk sequence")
 	}

@@ -7,6 +7,7 @@ import (
 
 	"sgr/internal/graph"
 	"sgr/internal/obs"
+	"sgr/internal/sampling"
 )
 
 // TestRestoreContextCancellation pins the cooperative-cancellation
@@ -128,10 +129,12 @@ func TestFailedPhaseSpanMarked(t *testing.T) {
 		}
 	}
 
-	short := *c
-	short.Walk = c.Walk[:2]
+	short, err := sampling.NewCrawl(c.Queried(), c.Lists(), c.Walk()[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr := obs.NewTrace("short-walk")
-	if _, err := Restore(&short, Options{RC: 5, Rand: PipelineRand(9), Trace: tr}); err == nil {
+	if _, err := Restore(short, Options{RC: 5, Rand: PipelineRand(9), Trace: tr}); err == nil {
 		t.Error("restore of a two-step walk succeeded")
 	} else {
 		marked(tr, err, "estimate")
@@ -139,7 +142,7 @@ func TestFailedPhaseSpanMarked(t *testing.T) {
 
 	tr = obs.NewTrace("cancelled")
 	ctx := &spanCtx{Context: context.Background(), tr: tr, phase: rewirePhase}
-	_, err := Restore(c, Options{RC: 5, Rand: PipelineRand(9), Trace: tr, Ctx: ctx})
+	_, err = Restore(c, Options{RC: 5, Rand: PipelineRand(9), Trace: tr, Ctx: ctx})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("restore cancelled in %s: err = %v, want context.Canceled", rewirePhase, err)
 	}

@@ -80,10 +80,9 @@ func TestDeltaPlusInfiniteWithoutMass(t *testing.T) {
 
 func TestModifyAssignsVisibleDegreesAtLeastSubgraphDegree(t *testing.T) {
 	// Construct a crawl by hand: star center queried, 3 visible leaves.
-	c := &sampling.Crawl{
-		Queried:   []int{0},
-		Neighbors: map[int][]int{0: {1, 2, 3}},
-		Walk:      []int{0, 1, 0}, // unused here
+	c, err := sampling.NewCrawl([]int{0}, [][]int{{1, 2, 3}}, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
 	sub := sampling.BuildSubgraph(c)
 	est := fixedEstimates(8, 1.5, map[int]float64{1: 0.5, 3: 0.25, 2: 0.25})

@@ -30,11 +30,10 @@ func BenchmarkBuild2K(b *testing.B) {
 }
 
 // BenchmarkRewire drives the full Algorithm-6 loop on an identical
-// workload through the production engine, RewireSharded, and the two
-// frozen serial references: the flat adjset loop
-// (rewire_serialref_test.go) and the map-based loop it replaced
-// (rewire_mapref_test.go). `make bench-json` records all four variants in
-// BENCH_rewire.json, which `make bench-gate` compares run over run.
+// workload through the production engine, RewireSharded, and the frozen
+// serial reference, the flat adjset loop (rewire_serialref_test.go).
+// `make bench-json` records all three variants in BENCH_rewire.json,
+// which `make bench-gate` compares run over run.
 func BenchmarkRewire(b *testing.B) {
 	src := benchSource(b, 2000)
 	dv, err := FromGraph(src)
@@ -62,7 +61,6 @@ func BenchmarkRewire(b *testing.B) {
 		b.ReportMetric(float64(accepted), "accepted/op")
 	}
 	b.Run("adjset", func(b *testing.B) { run(b, rewireSerialRef) })
-	b.Run("mapref", func(b *testing.B) { run(b, rewireMapRef) })
 	// The production engine on the same workload. sharded1 vs sharded8
 	// isolates parallel scaling; sharded1 vs adjset isolates the
 	// algorithmic win (rejections never mutate, so they never revert).

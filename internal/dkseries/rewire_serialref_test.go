@@ -2,9 +2,9 @@ package dkseries
 
 // This file freezes the serial Algorithm-6 loop as a test reference: it
 // mutates a flat adjSet adjacency (rewire_adjset_test.go) on every attempt
-// and reverts on rejection, exactly as the paper states the algorithm. The differential
-// guard (TestRewireDifferentialAdjsetVsMap) pins it byte-for-byte to the
-// map-based engine in rewire_mapref_test.go; TestRewireShardedDeltaExact
+// and reverts on rejection, exactly as the paper states the algorithm.
+// TestRewireSerialRefDigest pins its bytes with digests recorded while the
+// map-based engine it replaced still held it to them; TestRewireShardedDeltaExact
 // and TestShardedStateMatchesSerial use its mutate path and state as the
 // ground truth for RewireSharded's read-only evaluator and direct state
 // construction; BenchmarkRewire/adjset keeps its cost in BENCH_rewire.json.

@@ -89,32 +89,46 @@ func benchFixedCrawl(b *testing.B) *sampling.Crawl {
 	return c
 }
 
-// BenchmarkRestoreSpans times the work of a restore's "subgraph" span
-// (BuildSubgraph) and "estimate" span (NewWalk + All) on sgrbench's fixed
-// crawl, each next to its frozen map-based reference (labelref_test.go).
+// BenchmarkRestoreSpans times what a restore of a parsed crawl runs before
+// phase 1, on sgrbench's fixed crawl: NewCrawl from the crawl's lists, the
+// "estimate" span (NewWalk + All) and the "subgraph" span
+// (BuildSubgraph). Each op builds a fresh crawl, so the labeling is timed
+// wherever it runs. dense is the production path, whose two spans share
+// the crawl's one labeling; mapref is the frozen map-based path of
+// labelref_test.go, which builds the crawl's old Neighbors map and lets
+// each span relabel on its own.
 func BenchmarkRestoreSpans(b *testing.B) {
-	c := benchFixedCrawl(b)
-	estimateSpan := func(newWalk func(*sampling.Crawl) (*Walk, error)) func(*testing.B) {
-		return func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				w, err := newWalk(c)
-				if err != nil {
-					b.Fatal(err)
-				}
-				All(w)
-			}
-		}
-	}
-	b.Run("subgraph", func(b *testing.B) {
+	fixed := benchFixedCrawl(b)
+	queried, lists, walk := fixed.Queried(), fixed.Lists(), fixed.Walk()
+	b.Run("dense", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
+			c, err := sampling.NewCrawl(queried, lists, walk)
+			if err != nil {
+				b.Fatal(err)
+			}
+			w, err := NewWalk(c)
+			if err != nil {
+				b.Fatal(err)
+			}
+			All(w)
 			sampling.BuildSubgraph(c)
 		}
 	})
-	b.Run("subgraph-ref", func(b *testing.B) {
+	b.Run("mapref", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			refBuildSubgraph(c)
+			c, err := sampling.NewCrawl(queried, lists, walk)
+			if err != nil {
+				b.Fatal(err)
+			}
+			rc := newRefCrawl(c)
+			w, err := refNewWalk(rc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			All(w)
+			refBuildSubgraph(rc)
 		}
 	})
-	b.Run("estimate", estimateSpan(NewWalk))
-	b.Run("estimate-ref", estimateSpan(refNewWalk))
 }

@@ -28,41 +28,44 @@ type Walk struct {
 	Seq []int // x_1..x_r (original node IDs)
 	Deg []int // Deg[i] = true degree of Seq[i]
 
-	// lab is the crawl's dense labeling (sampling.Label): lab.Walk[i] is
-	// the dense ID of Seq[i] and lab.Row(u) queried node u's neighbor list.
-	// Queried node u has degree deg[u] and sorted positions pos[u] in Seq,
-	// so the pair estimators do no map lookups.
-	lab *sampling.Labeling
-	pos [][]int
-	deg []int
+	// steps, off and adj are the crawl's dense labeling (Crawl.DenseWalk,
+	// Crawl.DenseRows): steps[i] is the dense ID of Seq[i] and row(u)
+	// queried node u's neighbor list. Queried node u has degree deg[u] and
+	// sorted positions pos[u] in Seq, so the pair estimators do no map
+	// lookups.
+	steps    []int32
+	off, adj []int32
+	pos      [][]int
+	deg      []int
 }
 
 // NewWalk validates and indexes a random-walk crawl. The crawl must contain
-// a walk sequence with at least 3 steps. The Walk reads c's walk sequence
-// in place, so c must not change while it is in use.
+// a walk sequence with at least 3 steps. The Walk reads the crawl's walk
+// sequence and dense labeling in place.
 func NewWalk(c *sampling.Crawl) (*Walk, error) {
-	if len(c.Walk) < 3 {
-		return nil, fmt.Errorf("estimate: walk too short (r=%d, need >= 3)", len(c.Walk))
+	seq := c.Walk()
+	if len(seq) < 3 {
+		return nil, fmt.Errorf("estimate: walk too short (r=%d, need >= 3)", len(seq))
 	}
-	lab := sampling.Label(c)
-	w := &Walk{Seq: c.Walk, lab: lab, deg: make([]int, lab.NumQueried)}
+	off, adj := c.DenseRows()
+	w := &Walk{Seq: seq, steps: c.DenseWalk(), off: off, adj: adj, deg: make([]int, c.NumQueried())}
 	for u := range w.deg {
-		w.deg[u] = len(lab.Row(u))
+		w.deg[u] = int(off[u+1] - off[u])
 	}
-	w.Deg = make([]int, len(c.Walk))
-	for i, u := range lab.Walk {
-		if u < 0 {
-			return nil, fmt.Errorf("estimate: walk node %d missing from sampling list", c.Walk[i])
-		}
+	w.Deg = make([]int, len(seq))
+	for i, u := range w.steps {
 		d := w.deg[u]
 		if d == 0 {
-			return nil, fmt.Errorf("estimate: walk visits isolated node %d", c.Walk[i])
+			return nil, fmt.Errorf("estimate: walk visits isolated node %d", seq[i])
 		}
 		w.Deg[i] = d
 	}
-	w.pos = positionsOf(lab.Walk, lab.NumQueried)
+	w.pos = positionsOf(w.steps, len(w.deg))
 	return w, nil
 }
+
+// row returns queried node u's neighbor list as dense IDs.
+func (w *Walk) row(u int32) []int32 { return w.adj[w.off[u]:w.off[u+1]] }
 
 // R returns the walk length r.
 func (w *Walk) R() int { return len(w.Seq) }
@@ -85,7 +88,7 @@ func (w *Walk) multiplicity(u, v int32) int {
 		return 0 // the hidden graphs are simple, and v was not queried
 	}
 	c := 0
-	for _, x := range w.lab.Row(int(u)) {
+	for _, x := range w.row(u) {
 		if x == v {
 			c++
 		}
@@ -217,7 +220,7 @@ func (w *Walk) DegreeClustering() map[int]float64 {
 		if k < 2 {
 			continue
 		}
-		if a := w.multiplicity(w.lab.Walk[i-1], w.lab.Walk[i+1]); a > 0 {
+		if a := w.multiplicity(w.steps[i-1], w.steps[i+1]); a > 0 {
 			raw[k] += float64(a)
 		}
 	}

@@ -26,15 +26,11 @@ func walkOn(t *testing.T, g *graph.Graph, steps int, seed uint64) *Walk {
 }
 
 func TestNewWalkValidation(t *testing.T) {
-	if _, err := NewWalk(&sampling.Crawl{Walk: []int{1, 2}}); err == nil {
+	if _, err := NewWalk(mustNewCrawl([]int{1, 2}, [][]int{{2}, {1}}, []int{1, 2})); err == nil {
 		t.Error("want error for short walk")
 	}
-	c := &sampling.Crawl{
-		Walk:      []int{0, 1, 0},
-		Neighbors: map[int][]int{0: {1}}, // node 1 missing
-	}
-	if _, err := NewWalk(c); err == nil {
-		t.Error("want error for missing neighbor list")
+	if _, err := NewWalk(mustNewCrawl([]int{0, 1}, [][]int{{1}, nil}, []int{0, 1, 0})); err == nil {
+		t.Error("want error for a walk through an isolated node")
 	}
 }
 
@@ -87,7 +83,7 @@ func naivePhiIE(t *testing.T, w *Walk, m int) map[DegreePair]float64 {
 				continue
 			}
 			absI++
-			a := w.multiplicity(w.lab.Walk[i], w.lab.Walk[j])
+			a := w.multiplicity(w.steps[i], w.steps[j])
 			if a == 0 {
 				continue
 			}

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"hash"
 	"math"
+	"slices"
 	"sort"
 	"testing"
 
@@ -81,16 +82,12 @@ func lcc(g *graph.Graph) *graph.Graph {
 // It prefers queried neighbors, so the repeated and one-sided entries land
 // inside the queried-node adjacency the pair estimators read.
 func perturbCrawl(c *sampling.Crawl) *sampling.Crawl {
-	p := &sampling.Crawl{
-		Queried:   c.Queried,
-		Walk:      c.Walk,
-		Neighbors: make(map[int][]int, len(c.Neighbors)),
-	}
-	for i, u := range c.Queried {
-		nb := append([]int(nil), c.Neighbors[u]...)
+	lists := make([][]int, c.NumQueried())
+	for i, u := range c.Queried() {
+		nb := append([]int(nil), c.Lists()[i]...)
 		pick := 0
 		for j, v := range nb {
-			if _, queried := c.Neighbors[v]; queried && v != u {
+			if slices.Contains(c.Queried(), v) && v != u {
 				pick = j
 				break
 			}
@@ -101,9 +98,18 @@ func perturbCrawl(c *sampling.Crawl) *sampling.Crawl {
 		case i%5 == 2 && len(nb) > 1:
 			nb = append(nb[:pick], nb[pick+1:]...)
 		}
-		p.Neighbors[u] = nb
+		lists[i] = nb
 	}
-	return p
+	return mustNewCrawl(c.Queried(), lists, c.Walk())
+}
+
+// mustNewCrawl is sampling.NewCrawl on input known to be valid.
+func mustNewCrawl(queried []int, lists [][]int, walk []int) *sampling.Crawl {
+	c, err := sampling.NewCrawl(queried, lists, walk)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
 func hashUint(h hash.Hash, x uint64) {

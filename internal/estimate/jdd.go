@@ -58,7 +58,7 @@ func (w *Walk) JDDIE(nHat, avgDegHat float64, m int) map[DegreePair]float64 {
 			continue
 		}
 		cu := cls[w.deg[ui]]
-		for _, vi := range w.lab.Row(ui) {
+		for _, vi := range w.row(int32(ui)) {
 			// Visible neighbors follow every queried index.
 			if int(vi) <= ui || int(vi) >= len(w.pos) {
 				continue

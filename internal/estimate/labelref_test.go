@@ -14,11 +14,28 @@ import (
 	"sgr/internal/sampling"
 )
 
+// refCrawl is a crawl as it was stored before it owned its labeling: the
+// queried nodes, a map from each to its neighbor list, and the walk.
+type refCrawl struct {
+	Queried   []int
+	Neighbors map[int][]int
+	Walk      []int
+}
+
+// newRefCrawl builds the map form of c, as NewCrawl did.
+func newRefCrawl(c *sampling.Crawl) *refCrawl {
+	rc := &refCrawl{Queried: c.Queried(), Walk: c.Walk(), Neighbors: make(map[int][]int, c.NumQueried())}
+	for i, u := range c.Queried() {
+		rc.Neighbors[u] = c.Lists()[i]
+	}
+	return rc
+}
+
 // refBuildSubgraph is sampling.BuildSubgraph as it was before the crawl
 // labeling was shared: its own original -> relabeled map, a visible-node
 // set sorted by ID, and a seen-edge set. It is frozen here as the
 // reference for TestLabelingMatchesFrozenReference.
-func refBuildSubgraph(c *sampling.Crawl) *sampling.Subgraph {
+func refBuildSubgraph(c *refCrawl) *sampling.Subgraph {
 	s := &sampling.Subgraph{}
 	index := make(map[int]int)
 	for _, u := range c.Queried {
@@ -67,7 +84,7 @@ func refBuildSubgraph(c *sampling.Crawl) *sampling.Subgraph {
 // first-query order with a sorted fallback for keys missing from Queried,
 // one map lookup per neighbor entry, and -1 for unqueried neighbors. It
 // fills the same Walk fields, so the estimators read both walks alike.
-func refNewWalk(c *sampling.Crawl) (*Walk, error) {
+func refNewWalk(c *refCrawl) (*Walk, error) {
 	if len(c.Walk) < 3 {
 		return nil, fmt.Errorf("estimate: walk too short (r=%d, need >= 3)", len(c.Walk))
 	}
@@ -95,8 +112,7 @@ func refNewWalk(c *sampling.Crawl) (*Walk, error) {
 		ids = append(ids, u)
 	}
 
-	lab := &sampling.Labeling{Nodes: ids, NumQueried: len(ids), Off: make([]int32, len(ids)+1)}
-	w := &Walk{Seq: c.Walk, lab: lab, pos: make([][]int, len(ids)), deg: make([]int, len(ids))}
+	w := &Walk{Seq: c.Walk, off: make([]int32, len(ids)+1), pos: make([][]int, len(ids)), deg: make([]int, len(ids))}
 	for i, u := range ids {
 		w.deg[i] = len(c.Neighbors[u])
 	}
@@ -112,7 +128,7 @@ func refNewWalk(c *sampling.Crawl) (*Walk, error) {
 		}
 		w.Deg[i] = d
 		w.pos[ui] = append(w.pos[ui], i)
-		lab.Walk = append(lab.Walk, ui)
+		w.steps = append(w.steps, ui)
 	}
 	for i, u := range ids {
 		for _, v := range c.Neighbors[u] {
@@ -120,9 +136,9 @@ func refNewWalk(c *sampling.Crawl) (*Walk, error) {
 			if !queried {
 				vi = -1
 			}
-			lab.Adj = append(lab.Adj, vi)
+			w.adj = append(w.adj, vi)
 		}
-		lab.Off[i+1] = int32(len(lab.Adj))
+		w.off[i+1] = int32(len(w.adj))
 	}
 	return w, nil
 }
@@ -150,15 +166,15 @@ func refMultiplicity(nbrs map[int][]int, u, v int) int {
 // report (or reports once less), the one-sided shape perturbCrawl's
 // dropped entries leave in the other direction.
 func phantomCrawl(c *sampling.Crawl) *sampling.Crawl {
-	p := &sampling.Crawl{Queried: c.Queried, Walk: c.Walk, Neighbors: make(map[int][]int, len(c.Neighbors))}
-	for i, u := range c.Queried {
-		nb := append([]int(nil), c.Neighbors[u]...)
+	lists := make([][]int, c.NumQueried())
+	for i := range lists {
+		nb := append([]int(nil), c.Lists()[i]...)
 		if i%4 == 3 {
-			nb = append(nb, c.Queried[i-1])
+			nb = append(nb, c.Queried()[i-1])
 		}
-		p.Neighbors[u] = nb
+		lists[i] = nb
 	}
-	return p
+	return mustNewCrawl(c.Queried(), lists, c.Walk())
 }
 
 // labelRefCrawls returns, for each of three dataset stand-ins, one crawl by
@@ -207,7 +223,7 @@ func labelRefCrawls(t *testing.T) map[string]*sampling.Crawl {
 }
 
 // TestLabelingMatchesFrozenReference holds BuildSubgraph and NewWalk, which
-// now read one shared sampling.Label, to their frozen map-based
+// now read the crawl's one dense labeling, to their frozen map-based
 // predecessors: the same relabeled nodes and subgraph bytes, the same walk
 // indexing, multiplicities and estimate bits.
 func TestLabelingMatchesFrozenReference(t *testing.T) {
@@ -220,7 +236,8 @@ func TestLabelingMatchesFrozenReference(t *testing.T) {
 	walks := 0
 	for _, name := range names {
 		c := crawls[name]
-		got, want := sampling.BuildSubgraph(c), refBuildSubgraph(c)
+		rc := newRefCrawl(c)
+		got, want := sampling.BuildSubgraph(c), refBuildSubgraph(rc)
 		if !reflect.DeepEqual(got.Nodes, want.Nodes) || got.NumQueried != want.NumQueried {
 			t.Fatalf("%s: subgraph nodes differ (%d/%d queried of %d/%d)",
 				name, got.NumQueried, want.NumQueried, len(got.Nodes), len(want.Nodes))
@@ -238,7 +255,7 @@ func TestLabelingMatchesFrozenReference(t *testing.T) {
 		}
 
 		w, err := NewWalk(c)
-		rw, rerr := refNewWalk(c)
+		rw, rerr := refNewWalk(rc)
 		if fmt.Sprint(err) != fmt.Sprint(rerr) {
 			t.Fatalf("%s: NewWalk error %v, reference %v", name, err, rerr)
 		}
@@ -247,12 +264,12 @@ func TestLabelingMatchesFrozenReference(t *testing.T) {
 		}
 		walks++
 		if !reflect.DeepEqual(w.Deg, rw.Deg) || !reflect.DeepEqual(w.deg, rw.deg) ||
-			!reflect.DeepEqual(w.pos, rw.pos) || !reflect.DeepEqual(w.lab.Walk, rw.lab.Walk) {
+			!reflect.DeepEqual(w.pos, rw.pos) || !reflect.DeepEqual(w.steps, rw.steps) {
 			t.Fatalf("%s: walk indexing differs from the reference", name)
 		}
 		for i := 1; i+1 < w.R(); i++ {
-			a := w.multiplicity(w.lab.Walk[i-1], w.lab.Walk[i+1])
-			if ra := refMultiplicity(c.Neighbors, w.Seq[i-1], w.Seq[i+1]); a != ra {
+			a := w.multiplicity(w.steps[i-1], w.steps[i+1])
+			if ra := refMultiplicity(rc.Neighbors, w.Seq[i-1], w.Seq[i+1]); a != ra {
 				t.Fatalf("%s: step %d multiplicity %d, reference %d", name, i, a, ra)
 			}
 		}
@@ -265,5 +282,36 @@ func TestLabelingMatchesFrozenReference(t *testing.T) {
 	}
 	if walks < 3*3*5 {
 		t.Fatalf("only %d of %d crawls reached the estimators", walks, len(names))
+	}
+}
+
+// TestWalkAndSubgraphShareLabeling shows the crawl is labeled once per
+// crawl: the walk's dense rows and steps and the subgraph's node table are
+// the crawl's own backing arrays, and asking for them again allocates
+// nothing.
+func TestWalkAndSubgraphShareLabeling(t *testing.T) {
+	g := gen.HolmeKim(300, 3, 0.4, rng(61))
+	c, err := sampling.RandomWalk(sampling.NewGraphAccess(g), 0, 0.2, rng(62))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w, err := NewWalk(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sub := sampling.BuildSubgraph(c)
+	off, adj := c.DenseRows()
+	if &w.off[0] != &off[0] || &w.adj[0] != &adj[0] || &w.steps[0] != &c.DenseWalk()[0] {
+		t.Error("the walk holds dense rows or steps of its own, not the crawl's")
+	}
+	if &sub.Nodes[0] != &c.Nodes()[0] {
+		t.Error("the subgraph holds a node table of its own, not the crawl's")
+	}
+	if n := testing.AllocsPerRun(10, func() {
+		c.DenseRows()
+		c.DenseWalk()
+		c.Nodes()
+	}); n != 0 {
+		t.Errorf("reading the labeling again allocates %v times", n)
 	}
 }

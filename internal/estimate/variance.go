@@ -104,7 +104,7 @@ func (w *Walk) GlobalClusteringInterval(batches int) (Interval, error) {
 			if d < 2 {
 				continue
 			}
-			if a := w.multiplicity(w.lab.Walk[i-1], w.lab.Walk[i+1]); a > 0 {
+			if a := w.multiplicity(w.steps[i-1], w.steps[i+1]); a > 0 {
 				num += float64(a) / float64(d-1)
 			}
 		}
@@ -129,7 +129,7 @@ func (w *Walk) GlobalClustering() float64 {
 		if d < 2 {
 			continue
 		}
-		if a := w.multiplicity(w.lab.Walk[i-1], w.lab.Walk[i+1]); a > 0 {
+		if a := w.multiplicity(w.steps[i-1], w.steps[i+1]); a > 0 {
 			num += float64(a) / float64(d-1)
 		}
 	}
@@ -154,7 +154,7 @@ func (w *Walk) NumNodesInterval(batches int) (Interval, error) {
 		sub := &Walk{
 			Seq: w.Seq[lo:hi],
 			Deg: w.Deg[lo:hi],
-			pos: positionsOf(w.lab.Walk[lo:hi], len(w.deg)),
+			pos: positionsOf(w.steps[lo:hi], len(w.deg)),
 		}
 		m := int(math.Round(DefaultLagFactor * float64(hi-lo)))
 		if m < 1 {

@@ -6,17 +6,15 @@ import "sort"
 // collapsed to a single edge. This mirrors the paper's dataset preprocessing.
 func (g *Graph) Simplify() *Graph {
 	s := New(g.N())
-	seen := make(map[Edge]struct{})
+	// A pair {u, v}, u < v, is only ever added from row u, so a per-row
+	// stamp dedupes it: mark[v] == u+1 says {u, v} is in s.
+	mark := make([]int, g.N())
 	for u, a := range g.adj {
 		for _, v := range a {
-			if v <= u { // each unordered pair once; skips loops (v == u)
+			if v <= u || mark[v] == u+1 { // skips loops (v == u) and repeats
 				continue
 			}
-			e := Edge{u, v}
-			if _, ok := seen[e]; ok {
-				continue
-			}
-			seen[e] = struct{}{}
+			mark[v] = u + 1
 			s.AddEdge(u, v)
 		}
 	}
@@ -83,9 +81,9 @@ func (g *Graph) LargestComponent() (*Graph, []int) {
 // newID -> oldID. Edges (including multi-edges and loops) with both endpoints
 // in the set are retained.
 func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int) {
-	idx := make(map[int]int, len(nodes))
+	idx := make([]int, g.N()) // old ID -> new ID + 1, 0 outside the set
 	for i, u := range nodes {
-		idx[u] = i
+		idx[u] = i + 1
 	}
 	sub := New(len(nodes))
 	for i, u := range nodes {
@@ -95,11 +93,7 @@ func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int) {
 				loops++
 				continue
 			}
-			j, ok := idx[v]
-			if !ok {
-				continue
-			}
-			if j > i {
+			if j := idx[v] - 1; j > i {
 				sub.AddEdge(i, j)
 			}
 		}

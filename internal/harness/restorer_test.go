@@ -39,7 +39,7 @@ func TestEvaluateRestorerHook(t *testing.T) {
 		if opts.Rand == nil {
 			t.Error("restorer received nil Options.Rand")
 		}
-		if len(c.Walk) == 0 {
+		if len(c.Walk()) == 0 {
 			t.Error("restorer received a walkless crawl")
 		}
 		return DefaultRestorer(m, c, opts)

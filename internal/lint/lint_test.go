@@ -43,8 +43,8 @@ func TestKeyCanonFixtures(t *testing.T) {
 }
 
 // TestFrozenReferenceShapesClean runs the whole suite over map-iteration
-// shapes distilled from the frozen reference engines
-// (rewire_mapref_test.go, csrdiff_test.go): all of them must pass without
+// shapes distilled from the frozen reference engines (csrdiff_test.go and
+// the retired map-based rewiring engine): all of them must pass without
 // a single directive — the differential guards may not need escape
 // hatches just to exist.
 func TestFrozenReferenceShapesClean(t *testing.T) {
@@ -72,21 +72,24 @@ func TestRepoTreeClean(t *testing.T) {
 	for _, f := range findings {
 		t.Errorf("%s", f)
 	}
-	// The frozen reference engines must be analyzed (not skipped) and
-	// clean: their packages appear among the loaded units.
-	for _, frozen := range []string{"sgr/internal/dkseries", "sgr/internal/props"} {
+	// The frozen map-based references must be analyzed (not skipped) and
+	// clean: their files appear among the loaded units.
+	for pkg, file := range map[string]string{
+		"sgr/internal/props":    "csrdiff_test.go",
+		"sgr/internal/estimate": "labelref_test.go",
+	} {
 		found := false
 		for _, u := range units {
-			if u.PkgPath == frozen {
+			if u.PkgPath == pkg {
 				for _, name := range u.Filenames {
-					if strings.HasSuffix(name, "rewire_mapref_test.go") || strings.HasSuffix(name, "csrdiff_test.go") {
+					if strings.HasSuffix(name, file) {
 						found = true
 					}
 				}
 			}
 		}
 		if !found {
-			t.Errorf("frozen reference engine files of %s were not loaded for analysis", frozen)
+			t.Errorf("frozen reference %s of %s was not loaded for analysis", file, pkg)
 		}
 	}
 }

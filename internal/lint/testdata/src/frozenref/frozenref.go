@@ -1,5 +1,6 @@
 // Fixture distilled from the frozen reference engines
-// (internal/dkseries/rewire_mapref_test.go, internal/props/csrdiff_test.go):
+// (internal/props/csrdiff_test.go and the map-based rewiring engine that
+// internal/dkseries once kept as a test reference):
 // the map-iteration shapes those differential guards rely on, which the
 // maprange analyzer must recognize as order-insensitive rather than
 // false-positive on. The whole suite runs over this package expecting
@@ -62,7 +63,7 @@ func refSharedPartners(mm map[int]int, mult func(int, int) int, u int) map[int]f
 	return out
 }
 
-// The rewire_mapref_test.go settle shape after PR 2's determinism fix:
+// The map-based rewiring engine's settle shape after PR 2's determinism fix:
 // map keys are collected and sorted before any float accumulation, so the
 // accumulation order is a function of the keys alone.
 func refSettle(adj map[int]int, weight func(int) float64) float64 {

@@ -176,7 +176,7 @@ func TestClientPrefetchCrawlsByteIdentical(t *testing.T) {
 			if !reflect.DeepEqual(crawlJSON(t, remote), crawlJSON(t, local)) {
 				t.Fatal("remote crawl with prefetch diverges from in-memory crawl")
 			}
-			if got, want := client.NodesFetched(), int64(len(local.Queried)); got != want {
+			if got, want := client.NodesFetched(), int64(len(local.Queried())); got != want {
 				t.Fatalf("NodesFetched = %d want %d (prefetch must not spend extra budget)", got, want)
 			}
 		})

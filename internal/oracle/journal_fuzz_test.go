@@ -35,11 +35,7 @@ func FuzzCrawlJournal(f *testing.F) {
 		if err != nil {
 			return
 		}
-		neighbors := make([][]int, len(c.Queried))
-		for i, u := range c.Queried {
-			neighbors[i] = c.Neighbors[u]
-		}
-		if _, err := sampling.NewCrawl(c.Queried, neighbors, c.Walk); err != nil {
+		if _, err := sampling.NewCrawl(c.Queried(), c.Lists(), c.Walk()); err != nil {
 			t.Fatalf("accepted crawl fails validation: %v", err)
 		}
 		// Only a journal without a torn tail of its own keeps its crawl:

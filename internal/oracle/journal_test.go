@@ -227,7 +227,7 @@ func TestJournalResume(t *testing.T) {
 	}
 
 	// Record the walk and reload the journal as a self-contained crawl.
-	if err := c2.RecordWalk(full.Walk); err != nil {
+	if err := c2.RecordWalk(full.Walk()); err != nil {
 		t.Fatal(err)
 	}
 	c2.Close()
@@ -265,8 +265,8 @@ func TestJournalStaleWalkInvalidated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Walk) != 0 {
-		t.Fatalf("loaded crawl has stale walk %v", c.Walk)
+	if len(c.Walk()) != 0 {
+		t.Fatalf("loaded crawl has stale walk %v", c.Walk())
 	}
 	// A fresh walk record after the tail queries makes it whole again.
 	j2, _, _, err := OpenJournal(path, 100)
@@ -279,8 +279,8 @@ func TestJournalStaleWalkInvalidated(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Walk) != 2 {
-		t.Fatalf("walk = %v, want [1 2]", c.Walk)
+	if len(c.Walk()) != 2 {
+		t.Fatalf("walk = %v, want [1 2]", c.Walk())
 	}
 }
 

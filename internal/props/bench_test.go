@@ -26,7 +26,7 @@ func BenchmarkComputeAllExact(b *testing.B) {
 // with the frozen Brandes kernel (csrdiff_test.go) on the same graph and
 // options, so BENCH_props.json carries before/after numbers measured on
 // the same hardware — the counterpart of BenchmarkRewire's
-// adjset-vs-mapref split.
+// sharded-vs-adjset split.
 func BenchmarkComputeAllExactRef(b *testing.B) {
 	g := benchGraph(b, 2000)
 	opts := Options{ExactThreshold: 5000}

@@ -8,8 +8,8 @@ package props
 // drift in the CSR read path fails here with strict (bit-for-bit)
 // equality. The probes go through Graph.Multiplicity, a scan of the
 // shorter neighbor list with the same A[u][v] answer as the hashed index
-// the replaced code used. This mirrors the rewire_mapref_test.go pattern
-// that guards the rewiring engine.
+// the replaced code used. This mirrors the labelref_test.go pattern that
+// guards the crawl's dense labeling.
 
 import (
 	"math"

@@ -133,7 +133,7 @@ func resolveSpec(spec *JobSpec) (*jobSpec, error) {
 // content-addressed key. The restoration pipeline needs the walk sequence;
 // rejecting walkless crawls here keeps failed jobs out of the queue.
 func (ps *jobSpec) setCrawl(c *sampling.Crawl) error {
-	if len(c.Walk) == 0 {
+	if len(c.Walk()) == 0 {
 		return fmt.Errorf("crawl has no walk sequence (restoration needs a random-walk crawl)")
 	}
 	canon, err := canonicalCrawl(c)

@@ -51,10 +51,10 @@ func journalText(t testing.TB, c *sampling.Crawl, nodes int) string {
 		sb.WriteByte('\n')
 	}
 	writeRec(map[string]any{"t": "h", "version": 1, "nodes": nodes})
-	for _, u := range c.Queried {
-		writeRec(map[string]any{"t": "q", "u": u, "nb": c.Neighbors[u]})
+	for i, u := range c.Queried() {
+		writeRec(map[string]any{"t": "q", "u": u, "nb": c.Lists()[i]})
 	}
-	writeRec(map[string]any{"t": "w", "walk": c.Walk})
+	writeRec(map[string]any{"t": "w", "walk": c.Walk()})
 	return sb.String()
 }
 
@@ -109,13 +109,16 @@ func TestCacheKeyCanonicalization(t *testing.T) {
 
 	// Differing submissions. Mutate one walk step to another queried node
 	// (the crawl stays structurally valid).
-	mutated := *c
-	mutated.Walk = append([]int(nil), c.Walk...)
-	if len(mutated.Walk) < 2 {
+	walk := append([]int(nil), c.Walk()...)
+	if len(walk) < 2 {
 		t.Fatal("walk too short to mutate")
 	}
-	mutated.Walk[len(mutated.Walk)-1] = mutated.Walk[0]
-	mutatedBytes := crawlJSONBytes(t, &mutated)
+	walk[len(walk)-1] = walk[0]
+	mutated, err := sampling.NewCrawl(c.Queried(), c.Lists(), walk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mutatedBytes := crawlJSONBytes(t, mutated)
 
 	differing := map[string]*JobSpec{
 		"walk step":         {Seed: 3, RC: 5, Crawl: mutatedBytes},
@@ -226,7 +229,10 @@ func TestGraphdSpecKeys(t *testing.T) {
 func TestResolveSpecRejects(t *testing.T) {
 	_, c := testGraphAndCrawl(t, 5, 0.1)
 	canon := crawlJSONBytes(t, c)
-	walkless := &sampling.Crawl{Queried: c.Queried, Neighbors: c.Neighbors}
+	walkless, err := sampling.NewCrawl(c.Queried(), c.Lists(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	walklessBytes := crawlJSONBytes(t, walkless)
 
 	cases := map[string]*JobSpec{

@@ -38,16 +38,16 @@ func TestRecorderCachesFirstAnswer(t *testing.T) {
 	}
 	// Every node's recorded neighbor list must be internally consistent:
 	// same length as the true degree.
-	for u, nb := range c.Neighbors {
-		if len(nb) != g.Degree(u) {
+	for i, u := range c.Queried() {
+		if nb := c.Lists()[i]; len(nb) != g.Degree(u) {
 			t.Fatalf("node %d: recorded %d neighbors, true degree %d", u, len(nb), g.Degree(u))
 		}
 	}
 	// Walk steps must follow recorded neighbor lists.
-	for i := 0; i+1 < len(c.Walk); i++ {
-		u, v := c.Walk[i], c.Walk[i+1]
+	for i := 0; i+1 < len(c.Walk()); i++ {
+		u, v := c.Walk()[i], c.Walk()[i+1]
 		found := false
-		for _, w := range c.Neighbors[u] {
+		for _, w := range listOf(c, u) {
 			if w == v {
 				found = true
 				break
@@ -85,7 +85,10 @@ func TestBuildSubgraphToleratesAsymmetricReports(t *testing.T) {
 	rec := newRecorder(aa)
 	rec.query(0)
 	rec.query(1)
-	c := rec.crawl
+	c, err := rec.crawl()
+	if err != nil {
+		t.Fatal(err)
+	}
 	s := BuildSubgraph(c)
 	// The phantom edge 0-1 appears once (deduplicated), and the build
 	// must not panic or double count. Nodes 0 and 1 were queried in that

@@ -44,22 +44,22 @@ func FrontierSampling(access Access, seeds []int, fraction float64, r *rand.Rand
 			wi++
 		}
 		u := walkers[wi]
-		nb := rec.crawl.Neighbors[u]
+		nb := rec.query(u) // u is queried: no new query
 		if len(nb) == 0 {
 			// Teleport a stuck walker to a random queried node.
-			q := rec.crawl.Queried
+			q := rec.queried
 			u = q[r.IntN(len(q))]
 			nb = rec.query(u)
 			if len(nb) == 0 {
 				return nil, fmt.Errorf("sampling: frontier walker stuck at isolated node %d", u)
 			}
 		}
-		rec.crawl.Walk = append(rec.crawl.Walk, u)
+		rec.walk = append(rec.walk, u)
 		v := nb[r.IntN(len(nb))]
 		dv := len(rec.query(v))
 		total += dv - degs[wi]
 		walkers[wi] = v
 		degs[wi] = dv
 	}
-	return rec.crawl, nil
+	return rec.crawl()
 }

@@ -1,6 +1,7 @@
 package sampling
 
 import (
+	"slices"
 	"testing"
 
 	"sgr/internal/graph"
@@ -15,7 +16,7 @@ func TestFrontierSamplingBudget(t *testing.T) {
 	if c.NumQueried() < int(0.2*float64(g.N())) {
 		t.Fatalf("frontier underqueried: %d", c.NumQueried())
 	}
-	if len(c.Walk) == 0 {
+	if len(c.Walk()) == 0 {
 		t.Fatal("frontier sampling must emit a walk sequence")
 	}
 }
@@ -57,8 +58,8 @@ func TestFrontierWalkStepsAreEdges(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Every walk entry must be a queried node with a recorded neighbor list.
-	for _, u := range c.Walk {
-		if _, ok := c.Neighbors[u]; !ok {
+	for _, u := range c.Walk() {
+		if !slices.Contains(c.Queried(), u) {
 			t.Fatalf("walk node %d not queried", u)
 		}
 	}

@@ -62,7 +62,7 @@ func PrivateAwareWalk(access *PrivateAccess, seed int, fraction float64, r *rand
 	cur := seed
 	for {
 		nb := rec.query(cur)
-		rec.crawl.Walk = append(rec.crawl.Walk, cur)
+		rec.walk = append(rec.walk, cur)
 		if rec.numQueried() >= budget {
 			break
 		}
@@ -78,5 +78,5 @@ func PrivateAwareWalk(access *PrivateAccess, seed int, fraction float64, r *rand
 		}
 		cur = candidates[r.IntN(len(candidates))]
 	}
-	return rec.crawl, nil
+	return rec.crawl()
 }

@@ -32,7 +32,7 @@ func TestPrivateAwareWalkAvoidsPrivateNodes(t *testing.T) {
 	for _, u := range private {
 		privSet[u] = true
 	}
-	for _, u := range c.Walk {
+	for _, u := range c.Walk() {
 		if privSet[u] {
 			t.Fatalf("walk stepped onto private node %d", u)
 		}

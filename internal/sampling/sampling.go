@@ -15,6 +15,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand/v2"
+	"slices"
+	"sync"
 
 	"sgr/internal/graph"
 )
@@ -92,42 +94,153 @@ func (a *GraphAccess) NeighborsOf(u int) []int { return a.G.Neighbors(u) }
 // NumNodes implements Access.
 func (a *GraphAccess) NumNodes() int { return a.G.N() }
 
-// Crawl is the outcome of any crawling method: the order in which distinct
-// nodes were first queried, their neighbor lists (the sampling list L), and,
-// for walk-based methods, the full node sequence x_1..x_r including repeats.
+// Crawl is the outcome of any crawling method: the sampling list L of the
+// paper (the distinct queried nodes in first-query order, each with its
+// neighbor list) and, for walk-based methods, the full node sequence
+// x_1..x_r including repeats. It is stored once, as the parallel slices it
+// is read and written as, and is immutable: NewCrawl is its only
+// constructor, so every crawl, whether crawled, read from JSON or replayed
+// from a journal, has passed the same validator.
+//
+// The estimators (estimate.NewWalk) and the sampled subgraph
+// (BuildSubgraph) read the crawl through its dense labeling (Nodes,
+// DenseRows, DenseWalk), which the crawl computes at most once, on first
+// use, and which is safe to request from concurrent goroutines.
 type Crawl struct {
-	// Queried lists distinct queried nodes in first-query order.
-	Queried []int
-	// Neighbors maps each queried node to its full neighbor list.
-	Neighbors map[int][]int
-	// Walk is the random-walk node sequence (nil for non-walk crawlers).
-	Walk []int
+	queried []int   // distinct queried nodes, in first-query order
+	lists   [][]int // lists[i] is queried[i]'s neighbor list
+	walk    []int   // walk sequence, nil for non-walk crawlers
+
+	labelOnce sync.Once
+	lab       labeling
+}
+
+// labeling is a crawl's dense relabeling. Dense IDs [0, NumQueried) are
+// the queried nodes in first-query order; dense IDs [NumQueried, len(nodes))
+// are the visible nodes, named in some neighbor list but never queried, in
+// ascending ID. It takes O(crawl size) memory whatever the node IDs, so a
+// crawl from the network cannot inflate it.
+type labeling struct {
+	nodes []int   // dense ID -> crawl node ID
+	walk  []int32 // dense ID of each walk step
+	// adj[off[i]:off[i+1]] is queried node i's neighbor list as dense IDs,
+	// in list order, repeats included.
+	off, adj []int32
 }
 
 // NumQueried returns the number of distinct queried nodes.
-func (c *Crawl) NumQueried() int { return len(c.Queried) }
+func (c *Crawl) NumQueried() int { return len(c.queried) }
 
+// Queried returns the distinct queried nodes in first-query order. The
+// returned slice must not be modified.
+func (c *Crawl) Queried() []int { return c.queried }
+
+// Lists returns the neighbor lists, parallel to Queried. They must not be
+// modified.
+func (c *Crawl) Lists() [][]int { return c.lists }
+
+// Walk returns the random-walk node sequence (nil for non-walk crawlers).
+// It must not be modified.
+func (c *Crawl) Walk() []int { return c.walk }
+
+// Nodes returns the dense labeling's node table, dense ID -> node ID:
+// Queried first, then the visible nodes in ascending ID. It must not be
+// modified.
+func (c *Crawl) Nodes() []int { return c.label().nodes }
+
+// DenseRows returns the queried nodes' neighbor lists as dense IDs, in list
+// order: adj[off[i]:off[i+1]] is Lists()[i]. They must not be modified.
+func (c *Crawl) DenseRows() (off, adj []int32) {
+	l := c.label()
+	return l.off, l.adj
+}
+
+// DenseWalk returns the dense ID of each walk step. It must not be
+// modified.
+func (c *Crawl) DenseWalk() []int32 { return c.label().walk }
+
+// label returns the crawl's labeling, computing it on first use. It is the
+// one place that maps crawl node IDs to dense IDs.
+func (c *Crawl) label() *labeling {
+	c.labelOnce.Do(func() {
+		nq := len(c.queried)
+		total := 0
+		for _, nb := range c.lists {
+			total += len(nb)
+		}
+		// Sized for every node the lists could name, so it never grows.
+		dense := make(map[int]int32, nq+total)
+		for i, u := range c.queried {
+			dense[u] = int32(i)
+		}
+		l := &c.lab
+		l.walk = make([]int32, len(c.walk))
+		for i, u := range c.walk {
+			l.walk[i] = dense[u] // NewCrawl admits only queried walk nodes
+		}
+		// Visible nodes get provisional IDs -1, -2, ... in discovery order
+		// until their ascending-ID order is known.
+		l.off = make([]int32, nq+1)
+		l.adj = make([]int32, 0, total)
+		var visible []int
+		for i, nb := range c.lists {
+			for _, v := range nb {
+				d, ok := dense[v]
+				if !ok {
+					visible = append(visible, v)
+					d = -int32(len(visible))
+					dense[v] = d
+				}
+				l.adj = append(l.adj, d)
+			}
+			l.off[i+1] = int32(len(l.adj))
+		}
+		slices.Sort(visible)
+		final := make([]int32, len(visible)) // discovery index -> dense ID
+		for k, v := range visible {
+			final[-dense[v]-1] = int32(nq + k)
+		}
+		for j, d := range l.adj {
+			if d < 0 {
+				l.adj[j] = final[-d-1]
+			}
+		}
+		l.nodes = append(append(make([]int, 0, nq+len(visible)), c.queried...), visible...)
+	})
+	return &c.lab
+}
+
+// recorder accumulates a crawl's sampling list while a crawler runs. Its
+// index, node -> position in queried, dedupes queries; the finished crawl
+// goes through NewCrawl like every other.
 type recorder struct {
-	access Access
-	crawl  *Crawl
+	access  Access
+	index   map[int]int
+	queried []int
+	lists   [][]int
+	walk    []int
 }
 
 func newRecorder(access Access) *recorder {
-	return &recorder{access: access, crawl: &Crawl{Neighbors: make(map[int][]int)}}
+	return &recorder{access: access, index: make(map[int]int)}
 }
 
 // query returns u's neighbors, recording the first query of each node.
 func (rec *recorder) query(u int) []int {
-	if nb, ok := rec.crawl.Neighbors[u]; ok {
-		return nb
+	if i, ok := rec.index[u]; ok {
+		return rec.lists[i]
 	}
 	nb := rec.access.NeighborsOf(u)
-	rec.crawl.Queried = append(rec.crawl.Queried, u)
-	rec.crawl.Neighbors[u] = nb
+	rec.index[u] = len(rec.queried)
+	rec.queried = append(rec.queried, u)
+	rec.lists = append(rec.lists, nb)
 	return nb
 }
 
-func (rec *recorder) numQueried() int { return len(rec.crawl.Queried) }
+func (rec *recorder) numQueried() int { return len(rec.queried) }
+
+// crawl finishes the recording.
+func (rec *recorder) crawl() (*Crawl, error) { return NewCrawl(rec.queried, rec.lists, rec.walk) }
 
 // budgetFromFraction converts a fraction of nodes into an absolute count,
 // rounded to nearest and clamped to at least 1. Rounding matters: float
@@ -157,7 +270,7 @@ func RandomWalk(access Access, seed int, fraction float64, r *rand.Rand) (*Crawl
 	cur := seed
 	for {
 		nb := rec.query(cur)
-		rec.crawl.Walk = append(rec.crawl.Walk, cur)
+		rec.walk = append(rec.walk, cur)
 		if rec.numQueried() >= budget {
 			break
 		}
@@ -166,7 +279,7 @@ func RandomWalk(access Access, seed int, fraction float64, r *rand.Rand) (*Crawl
 		}
 		cur = nb[r.IntN(len(nb))]
 	}
-	return rec.crawl, nil
+	return rec.crawl()
 }
 
 // SeededRandomWalk is the deterministic whole-crawl entry point shared by
@@ -199,7 +312,7 @@ func RandomWalkSteps(access Access, seed int, steps int, r *rand.Rand) (*Crawl, 
 	cur := seed
 	for i := 0; i < steps; i++ {
 		nb := rec.query(cur)
-		rec.crawl.Walk = append(rec.crawl.Walk, cur)
+		rec.walk = append(rec.walk, cur)
 		if i == steps-1 {
 			break
 		}
@@ -208,7 +321,7 @@ func RandomWalkSteps(access Access, seed int, steps int, r *rand.Rand) (*Crawl, 
 		}
 		cur = nb[r.IntN(len(nb))]
 	}
-	return rec.crawl, nil
+	return rec.crawl()
 }
 
 // BFS crawls breadth-first from seed, querying every discovered node until
@@ -234,7 +347,7 @@ func BFS(access Access, seed int, fraction float64) (*Crawl, error) {
 			}
 		}
 	}
-	return rec.crawl, nil
+	return rec.crawl()
 }
 
 // Snowball crawls like BFS but explores at most k uniformly random distinct
@@ -268,7 +381,7 @@ func Snowball(access Access, seed, k int, fraction float64, r *rand.Rand) (*Craw
 			queue = append(queue, v)
 		}
 	}
-	return rec.crawl, nil
+	return rec.crawl()
 }
 
 // ForestFire crawls with forest-fire sampling: from each burning node, a
@@ -290,7 +403,7 @@ func ForestFire(access Access, seed int, pf float64, fraction float64, r *rand.R
 	for rec.numQueried() < budget {
 		if len(queue) == 0 {
 			// Fire died: revive from a random sampled node.
-			q := rec.crawl.Queried
+			q := rec.queried
 			queue = append(queue, q[r.IntN(len(q))])
 		}
 		// Revived nodes are already queried, so the budget-bounded prefix
@@ -312,7 +425,7 @@ func ForestFire(access Access, seed int, pf float64, fraction float64, r *rand.R
 			queue = append(queue, v)
 		}
 	}
-	return rec.crawl, nil
+	return rec.crawl()
 }
 
 // geometric samples the number of successes before the first failure with

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"slices"
+	"sync"
 	"testing"
 
 	"sgr/internal/gen"
@@ -34,6 +35,24 @@ func paperGraph() *graph.Graph {
 	return g
 }
 
+// mustCrawl builds a crawl through NewCrawl, failing the test on error.
+func mustCrawl(t *testing.T, queried []int, lists [][]int, walk []int) *Crawl {
+	t.Helper()
+	c, err := NewCrawl(queried, lists, walk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
+// listOf returns queried node u's neighbor list, nil if u was not queried.
+func listOf(c *Crawl, u int) []int {
+	if i := slices.Index(c.Queried(), u); i >= 0 {
+		return c.Lists()[i]
+	}
+	return nil
+}
+
 // countingAccess records the distinct nodes a crawler queries.
 type countingAccess struct {
 	Access
@@ -59,13 +78,13 @@ func TestRandomWalkBudget(t *testing.T) {
 	if len(a.queried) != want {
 		t.Fatalf("access counted %d want %d", len(a.queried), want)
 	}
-	if len(c.Walk) < c.NumQueried() {
+	if len(c.Walk()) < c.NumQueried() {
 		t.Fatal("walk shorter than distinct queried count")
 	}
 	// Every consecutive walk pair must be an edge of g.
-	for i := 0; i+1 < len(c.Walk); i++ {
-		if !g.HasEdge(c.Walk[i], c.Walk[i+1]) {
-			t.Fatalf("walk step %d: %d-%d not an edge", i, c.Walk[i], c.Walk[i+1])
+	for i := 0; i+1 < len(c.Walk()); i++ {
+		if !g.HasEdge(c.Walk()[i], c.Walk()[i+1]) {
+			t.Fatalf("walk step %d: %d-%d not an edge", i, c.Walk()[i], c.Walk()[i+1])
 		}
 	}
 }
@@ -76,8 +95,8 @@ func TestRandomWalkSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Walk) != 300 {
-		t.Fatalf("walk length %d want 300", len(c.Walk))
+	if len(c.Walk()) != 300 {
+		t.Fatalf("walk length %d want 300", len(c.Walk()))
 	}
 	if _, err := RandomWalkSteps(NewGraphAccess(g), 0, 0, rng(2)); err == nil {
 		t.Fatal("want error for zero steps")
@@ -111,15 +130,15 @@ func TestBFSCoversNeighborhoodFirst(t *testing.T) {
 	if c.NumQueried() != want {
 		t.Fatalf("queried %d want %d", c.NumQueried(), want)
 	}
-	if c.Queried[0] != 0 {
+	if c.Queried()[0] != 0 {
 		t.Fatal("BFS must start at the seed")
 	}
-	if c.Walk != nil {
+	if c.Walk() != nil {
 		t.Fatal("BFS must not produce a walk sequence")
 	}
 	// BFS queries the seed's entire neighborhood before distance-2 nodes.
 	pos := make(map[int]int)
-	for i, u := range c.Queried {
+	for i, u := range c.Queried() {
 		pos[u] = i
 	}
 	maxNbrPos := 0
@@ -199,10 +218,10 @@ func TestNonBacktrackingWalk(t *testing.T) {
 		t.Fatal(err)
 	}
 	// No immediate backtracks unless forced by a degree-1 node.
-	for i := 2; i < len(c.Walk); i++ {
-		if c.Walk[i] == c.Walk[i-2] && g.Degree(c.Walk[i-1]) > 1 {
+	for i := 2; i < len(c.Walk()); i++ {
+		if c.Walk()[i] == c.Walk()[i-2] && g.Degree(c.Walk()[i-1]) > 1 {
 			t.Fatalf("backtrack at step %d via node of degree %d",
-				i, g.Degree(c.Walk[i-1]))
+				i, g.Degree(c.Walk()[i-1]))
 		}
 	}
 }
@@ -223,15 +242,9 @@ func TestNonBacktrackingDegreeOneBacktracks(t *testing.T) {
 func TestBuildSubgraphPaperExample(t *testing.T) {
 	// Reproduce Fig. 1: query v1, v3, v6 (IDs 0, 2, 5).
 	g := paperGraph()
-	c := &Crawl{
-		Queried: []int{0, 2, 5},
-		Neighbors: map[int][]int{
-			0: g.Neighbors(0),
-			2: g.Neighbors(2),
-			5: g.Neighbors(5),
-		},
-		Walk: []int{0, 2, 5, 2},
-	}
+	c := mustCrawl(t, []int{0, 2, 5},
+		[][]int{g.Neighbors(0), g.Neighbors(2), g.Neighbors(5)},
+		[]int{0, 2, 5, 2})
 	s := BuildSubgraph(c)
 	// V' = {v1..v6, v8} = IDs {0,1,2,3,4,5,7}: 7 nodes, 6 edges.
 	if s.Graph.N() != 7 {
@@ -268,10 +281,7 @@ func TestBuildSubgraphDedupsSharedEdges(t *testing.T) {
 	// Querying both endpoints of an edge must not duplicate it.
 	g := graph.New(2)
 	g.AddEdge(0, 1)
-	c := &Crawl{
-		Queried:   []int{0, 1},
-		Neighbors: map[int][]int{0: g.Neighbors(0), 1: g.Neighbors(1)},
-	}
+	c := mustCrawl(t, []int{0, 1}, [][]int{g.Neighbors(0), g.Neighbors(1)}, nil)
 	s := BuildSubgraph(c)
 	if s.Graph.M() != 1 {
 		t.Fatalf("dedup failed: m=%d", s.Graph.M())
@@ -281,37 +291,46 @@ func TestBuildSubgraphDedupsSharedEdges(t *testing.T) {
 	}
 }
 
-// TestBuildSubgraphFollowsLabelRule pins the labeling rule on crawls whose
-// Queried list and Neighbors keys disagree: a key missing from Queried is
-// still a queried node, appended in ascending ID, and a crawl with no
-// Queried list at all is labeled from its keys. Neither may wire an edge
-// that no neighbor list names.
+// TestBuildSubgraphFollowsLabelRule pins the labeling rule: queried
+// nodes keep their first-query order even where it is not ascending, the
+// visible nodes follow in ascending ID whatever order the lists name them
+// in, and no edge appears that no neighbor list names. The subgraph reads
+// the crawl's own node table, and the dense rows and walk map back to the
+// lists and walk entry for entry.
 func TestBuildSubgraphFollowsLabelRule(t *testing.T) {
-	nbrs := map[int][]int{0: {1}, 1: {0, 2}, 2: {1, 3}, 3: {2}}
-	for _, tc := range []struct {
-		name    string
-		queried []int
-		nodes   []int
-	}{
-		{"missing-key", []int{0, 1, 3}, []int{0, 1, 3, 2}},
-		{"no-queried-list", nil, []int{0, 1, 2, 3}},
-	} {
-		c := &Crawl{Queried: tc.queried, Neighbors: nbrs, Walk: []int{0, 1, 2, 3}}
-		s := BuildSubgraph(c)
-		if !slices.Equal(s.Nodes, tc.nodes) || s.NumQueried != 4 {
-			t.Errorf("%s: nodes %v (%d queried), want %v (4 queried)", tc.name, s.Nodes, s.NumQueried, tc.nodes)
+	c := mustCrawl(t, []int{7, 1, 4},
+		[][]int{{9, 1, 2}, {7, 2, 5, 4}, {1, 9}},
+		[]int{7, 1, 4, 1, 7})
+	s := BuildSubgraph(c)
+	if want := []int{7, 1, 4, 2, 5, 9}; !slices.Equal(s.Nodes, want) || s.NumQueried != 3 {
+		t.Errorf("nodes %v (%d queried), want %v (3 queried)", s.Nodes, s.NumQueried, want)
+	}
+	if &s.Nodes[0] != &c.Nodes()[0] {
+		t.Error("subgraph holds a node table of its own, not the crawl's")
+	}
+	off, adj := c.DenseRows()
+	for i, nb := range c.Lists() {
+		row := adj[off[i]:off[i+1]]
+		if len(row) != len(nb) {
+			t.Fatalf("row %d has %d entries, list %d", i, len(row), len(nb))
 		}
-		if l := Label(c); !slices.Equal(l.Nodes, s.Nodes) {
-			t.Errorf("%s: Label nodes %v differ from the subgraph's %v", tc.name, l.Nodes, s.Nodes)
+		for j, d := range row {
+			if c.Nodes()[d] != nb[j] {
+				t.Errorf("row %d entry %d: dense %d names %d, list names %d", i, j, d, c.Nodes()[d], nb[j])
+			}
 		}
-		var got []graph.Edge
-		for _, e := range s.Graph.Edges() {
-			got = append(got, graph.Edge{U: s.Nodes[e.U], V: s.Nodes[e.V]}.Canon())
-		}
-		slices.SortFunc(got, func(a, b graph.Edge) int { return cmp.Or(a.U-b.U, a.V-b.V) })
-		if want := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 3}}; !slices.Equal(got, want) {
-			t.Errorf("%s: edges %v, want %v", tc.name, got, want)
-		}
+	}
+	if want := []int32{0, 1, 2, 1, 0}; !slices.Equal(c.DenseWalk(), want) {
+		t.Errorf("dense walk %v, want %v", c.DenseWalk(), want)
+	}
+	var got []graph.Edge
+	for _, e := range s.Graph.Edges() {
+		got = append(got, graph.Edge{U: s.Nodes[e.U], V: s.Nodes[e.V]}.Canon())
+	}
+	slices.SortFunc(got, func(a, b graph.Edge) int { return cmp.Or(a.U-b.U, a.V-b.V) })
+	want := []graph.Edge{{U: 1, V: 2}, {U: 1, V: 4}, {U: 1, V: 5}, {U: 1, V: 7}, {U: 2, V: 7}, {U: 4, V: 9}, {U: 7, V: 9}}
+	if !slices.Equal(got, want) {
+		t.Errorf("edges %v, want %v", got, want)
 	}
 }
 
@@ -379,5 +398,41 @@ func TestSeededRandomWalkMatchesManualSeeding(t *testing.T) {
 
 	if _, err := SeededRandomWalk(NewGraphAccess(g), g.N(), 0.1, seed); err == nil {
 		t.Fatal("out-of-range seed node must error")
+	}
+}
+
+// TestLabelConcurrent asks one crawl for its labeling from several
+// goroutines at once, as harness cells restoring one crawl do: every caller
+// must see the one labeling, and the race detector must stay quiet.
+func TestLabelConcurrent(t *testing.T) {
+	c, err := RandomWalk(NewGraphAccess(testGraph(t)), 0, 0.1, rng(80))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 4
+	nodes := make([][]int, callers)
+	subs := make([]*Subgraph, callers)
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if i%2 == 0 {
+				subs[i] = BuildSubgraph(c)
+				nodes[i] = subs[i].Nodes
+			} else {
+				c.DenseRows()
+				nodes[i] = c.Nodes()
+			}
+		}(i)
+	}
+	wg.Wait()
+	for i := 1; i < callers; i++ {
+		if &nodes[i][0] != &nodes[0][0] {
+			t.Fatalf("caller %d saw a labeling of its own", i)
+		}
+	}
+	if subs[0].Graph.M() != subs[2].Graph.M() {
+		t.Fatalf("concurrent subgraphs differ: %d vs %d edges", subs[0].Graph.M(), subs[2].Graph.M())
 	}
 }

@@ -22,21 +22,12 @@ const crawlFormatVersion = 1
 
 // WriteJSON serializes the crawl.
 func (c *Crawl) WriteJSON(w io.Writer) error {
-	out := crawlJSON{
+	return json.NewEncoder(w).Encode(crawlJSON{
 		Version:   crawlFormatVersion,
-		Queried:   c.Queried,
-		Neighbors: make([][]int, len(c.Queried)),
-		Walk:      c.Walk,
-	}
-	for i, u := range c.Queried {
-		nb, ok := c.Neighbors[u]
-		if !ok {
-			return fmt.Errorf("sampling: queried node %d missing neighbor list", u)
-		}
-		out.Neighbors[i] = nb
-	}
-	enc := json.NewEncoder(w)
-	return enc.Encode(out)
+		Queried:   c.queried,
+		Neighbors: c.lists,
+		Walk:      c.walk,
+	})
 }
 
 // ReadCrawlJSON deserializes a crawl written by WriteJSON, validating its
@@ -56,39 +47,37 @@ func ReadCrawlJSON(r io.Reader) (*Crawl, error) {
 // NewCrawl assembles a Crawl from parallel queried/neighbor-list slices
 // plus an optional walk, enforcing every Crawl invariant: list lengths
 // align, node and neighbor ids are non-negative, no node is queried
-// twice, and the walk only visits queried nodes. It is the single
-// validator behind both offline-crawl entry points (crawl JSON files and
-// oracle crawl journals), so they accept exactly the same shapes.
+// twice, and the walk only visits queried nodes. It is the only Crawl
+// constructor: crawl JSON files, oracle crawl journals and the crawlers
+// themselves all build through it, so they accept exactly the same
+// shapes. The crawl keeps the three slices, so the caller must not modify
+// them afterwards.
 func NewCrawl(queried []int, neighbors [][]int, walk []int) (*Crawl, error) {
 	if len(queried) != len(neighbors) {
 		return nil, fmt.Errorf("sampling: %d queried nodes but %d neighbor lists",
 			len(queried), len(neighbors))
 	}
-	c := &Crawl{
-		Queried:   queried,
-		Neighbors: make(map[int][]int, len(queried)),
-		Walk:      walk,
-	}
+	seen := make(map[int]struct{}, len(queried))
 	for i, u := range queried {
 		if u < 0 {
 			return nil, fmt.Errorf("sampling: negative queried node id %d at index %d", u, i)
 		}
-		if _, dup := c.Neighbors[u]; dup {
+		if _, dup := seen[u]; dup {
 			return nil, fmt.Errorf("sampling: node %d queried twice", u)
 		}
+		seen[u] = struct{}{}
 		for _, v := range neighbors[i] {
 			if v < 0 {
 				return nil, fmt.Errorf("sampling: node %d has negative neighbor id %d", u, v)
 			}
 		}
-		c.Neighbors[u] = neighbors[i]
 	}
-	for _, u := range c.Walk {
-		if _, ok := c.Neighbors[u]; !ok {
+	for _, u := range walk {
+		if _, ok := seen[u]; !ok {
 			return nil, fmt.Errorf("sampling: walk visits unqueried node %d", u)
 		}
 	}
-	return c, nil
+	return &Crawl{queried: queried, lists: neighbors, walk: walk}, nil
 }
 
 // SaveCrawl writes the crawl to a JSON file.

@@ -2,6 +2,7 @@ package sampling_test
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"sgr/internal/estimate"
@@ -13,8 +14,8 @@ import (
 // the malformations the validator must reject — through the crawl-file
 // decoder. The decoder may error but must never panic, and anything it
 // accepts must uphold the Crawl invariants and survive a write/read
-// round trip. Every accepted crawl is also labeled and built into a
-// subgraph whose edges must be exactly the distinct unordered pairs of its
+// round trip. Every accepted crawl's dense labeling must map back to it
+// entry for entry, and the crawl is built into a subgraph whose edges must be exactly the distinct unordered pairs of its
 // neighbor lists, and a walk of at least 3 steps runs through the
 // estimators; none of it may panic.
 func FuzzReadCrawlJSON(f *testing.F) {
@@ -40,19 +41,19 @@ func FuzzReadCrawlJSON(f *testing.F) {
 			return
 		}
 		// Accepted crawls must be internally consistent...
-		if len(c.Queried) != len(c.Neighbors) {
-			t.Fatalf("accepted crawl with %d queried but %d neighbor lists", len(c.Queried), len(c.Neighbors))
+		queried := c.Queried()
+		if len(queried) != len(c.Lists()) {
+			t.Fatalf("accepted crawl with %d queried but %d neighbor lists", len(queried), len(c.Lists()))
 		}
-		for _, u := range c.Queried {
+		isQueried := make(map[int]bool, len(queried))
+		for _, u := range queried {
 			if u < 0 {
 				t.Fatalf("accepted negative node id %d", u)
 			}
-			if _, ok := c.Neighbors[u]; !ok {
-				t.Fatalf("queried node %d has no neighbor list", u)
-			}
+			isQueried[u] = true
 		}
-		for _, u := range c.Walk {
-			if _, ok := c.Neighbors[u]; !ok {
+		for _, u := range c.Walk() {
+			if !isQueried[u] {
 				t.Fatalf("accepted walk through unqueried node %d", u)
 			}
 		}
@@ -65,20 +66,60 @@ func FuzzReadCrawlJSON(f *testing.F) {
 		if err != nil {
 			t.Fatalf("re-reading serialized crawl: %v", err)
 		}
-		if len(c2.Queried) != len(c.Queried) || len(c2.Walk) != len(c.Walk) {
+		if len(c2.Queried()) != len(c.Queried()) || len(c2.Walk()) != len(c.Walk()) {
 			t.Fatalf("round trip changed shape: %d/%d queried, %d/%d walk",
-				len(c2.Queried), len(c.Queried), len(c2.Walk), len(c.Walk))
+				len(c2.Queried()), len(c.Queried()), len(c2.Walk()), len(c.Walk()))
+		}
+		var buf2 bytes.Buffer
+		if err := c2.WriteJSON(&buf2); err != nil || !bytes.Equal(buf2.Bytes(), buf.Bytes()) {
+			t.Fatalf("second write differs from the first (err %v)", err)
 		}
 
-		l := sampling.Label(c)
-		if l.NumQueried != len(c.Queried) || len(l.Walk) != len(c.Walk) {
-			t.Fatalf("labeling has %d queried and %d walk steps, crawl %d and %d",
-				l.NumQueried, len(l.Walk), len(c.Queried), len(c.Walk))
+		// The dense labeling: Queried in order, then the visible nodes
+		// strictly ascending and disjoint from Queried; every dense row and
+		// the dense walk map back to the crawl entry for entry.
+		nodes := c.Nodes()
+		if len(nodes) < len(queried) || !slices.Equal(nodes[:len(queried)], queried) {
+			t.Fatalf("node table %v does not start with Queried %v", nodes, queried)
 		}
+		for i, v := range nodes[len(queried):] {
+			if isQueried[v] {
+				t.Fatalf("visible node %d is also queried", v)
+			}
+			if i > 0 && v <= nodes[len(queried)+i-1] {
+				t.Fatalf("visible nodes %v not strictly ascending", nodes[len(queried):])
+			}
+		}
+		off, adj := c.DenseRows()
+		if len(off) != len(queried)+1 || int(off[len(queried)]) != len(adj) {
+			t.Fatalf("%d row offsets ending at %d for %d queried and %d entries",
+				len(off), off[len(off)-1], len(queried), len(adj))
+		}
+		for i, nb := range c.Lists() {
+			row := adj[off[i]:off[i+1]]
+			if len(row) != len(nb) {
+				t.Fatalf("row %d has %d entries, its list %d", i, len(row), len(nb))
+			}
+			for j, d := range row {
+				if nodes[d] != nb[j] {
+					t.Fatalf("row %d entry %d maps to %d, list names %d", i, j, nodes[d], nb[j])
+				}
+			}
+		}
+		dw := c.DenseWalk()
+		if len(dw) != len(c.Walk()) {
+			t.Fatalf("dense walk has %d steps, walk %d", len(dw), len(c.Walk()))
+		}
+		for i, d := range dw {
+			if int(d) >= len(queried) || nodes[d] != c.Walk()[i] {
+				t.Fatalf("dense walk step %d is %d, walk visits %d", i, d, c.Walk()[i])
+			}
+		}
+
 		sub := sampling.BuildSubgraph(c)
 		want := make(map[graph.Edge]bool)
-		for _, u := range c.Queried {
-			for _, v := range c.Neighbors[u] {
+		for i, u := range queried {
+			for _, v := range c.Lists()[i] {
 				want[graph.Edge{U: u, V: v}.Canon()] = true
 			}
 		}
@@ -92,7 +133,7 @@ func FuzzReadCrawlJSON(f *testing.F) {
 		if len(want) != 0 {
 			t.Fatalf("subgraph misses %d listed pairs", len(want))
 		}
-		if len(c.Walk) >= 3 {
+		if len(c.Walk()) >= 3 {
 			if w, err := estimate.NewWalk(c); err == nil {
 				estimate.All(w)
 			}

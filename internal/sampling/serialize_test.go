@@ -21,15 +21,15 @@ func TestCrawlJSONRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back.Queried) != len(c.Queried) || len(back.Walk) != len(c.Walk) {
+	if len(back.Queried()) != len(c.Queried()) || len(back.Walk()) != len(c.Walk()) {
 		t.Fatalf("round trip sizes: %d/%d queried, %d/%d walk",
-			len(back.Queried), len(c.Queried), len(back.Walk), len(c.Walk))
+			len(back.Queried()), len(c.Queried()), len(back.Walk()), len(c.Walk()))
 	}
-	for i, u := range c.Queried {
-		if back.Queried[i] != u {
+	for i, u := range c.Queried() {
+		if back.Queried()[i] != u {
 			t.Fatalf("queried[%d] mismatch", i)
 		}
-		a, b := c.Neighbors[u], back.Neighbors[u]
+		a, b := c.Lists()[i], back.Lists()[i]
 		if len(a) != len(b) {
 			t.Fatalf("neighbor list of %d mismatch", u)
 		}

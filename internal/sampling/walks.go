@@ -19,7 +19,7 @@ func MetropolisHastingsWalk(access Access, seed int, fraction float64, r *rand.R
 	cur := seed
 	for {
 		nb := rec.query(cur)
-		rec.crawl.Walk = append(rec.crawl.Walk, cur)
+		rec.walk = append(rec.walk, cur)
 		if rec.numQueried() >= budget {
 			break
 		}
@@ -43,7 +43,7 @@ func MetropolisHastingsWalk(access Access, seed int, fraction float64, r *rand.R
 			cur = v
 		}
 	}
-	return rec.crawl, nil
+	return rec.crawl()
 }
 
 // MetropolisHastingsWalkSteps performs the same Metropolis–Hastings walk
@@ -58,7 +58,7 @@ func MetropolisHastingsWalkSteps(access Access, seed, steps int, r *rand.Rand) (
 	cur := seed
 	for i := 0; i < steps; i++ {
 		nb := rec.query(cur)
-		rec.crawl.Walk = append(rec.crawl.Walk, cur)
+		rec.walk = append(rec.walk, cur)
 		if i == steps-1 {
 			break
 		}
@@ -71,7 +71,7 @@ func MetropolisHastingsWalkSteps(access Access, seed, steps int, r *rand.Rand) (
 			cur = v
 		}
 	}
-	return rec.crawl, nil
+	return rec.crawl()
 }
 
 // allEqual reports whether every entry of nb equals w.
@@ -97,7 +97,7 @@ func NonBacktrackingWalk(access Access, seed int, fraction float64, r *rand.Rand
 	cur, prev := seed, -1
 	for {
 		nb := rec.query(cur)
-		rec.crawl.Walk = append(rec.crawl.Walk, cur)
+		rec.walk = append(rec.walk, cur)
 		if rec.numQueried() >= budget {
 			break
 		}
@@ -126,5 +126,5 @@ func NonBacktrackingWalk(access Access, seed int, fraction float64, r *rand.Rand
 		}
 		prev, cur = cur, next
 	}
-	return rec.crawl, nil
+	return rec.crawl()
 }

@@ -85,8 +85,8 @@ func TestMHDoesNotRecordUnacceptedProposal(t *testing.T) {
 	if c.NumQueried() != 2 {
 		t.Fatalf("queried %d want 2 (the proposal query is still counted)", c.NumQueried())
 	}
-	if len(c.Walk) != 1 || c.Walk[0] != 0 {
-		t.Fatalf("walk %v: must record only the seed, not the unaccepted proposal", c.Walk)
+	if len(c.Walk()) != 1 || c.Walk()[0] != 0 {
+		t.Fatalf("walk %v: must record only the seed, not the unaccepted proposal", c.Walk())
 	}
 }
 
@@ -113,7 +113,7 @@ func TestMHLastStepPassedAcceptance(t *testing.T) {
 		if c.NumQueried() != 3 {
 			t.Fatalf("seed %d: queried %d want 3", s, c.NumQueried())
 		}
-		if last := c.Walk[len(c.Walk)-1]; last == hub {
+		if last := c.Walk()[len(c.Walk())-1]; last == hub {
 			t.Fatalf("seed %d: walk ends at the hub, whose proposal query exhausted the budget before the acceptance test ran", s)
 		}
 	}
@@ -125,12 +125,12 @@ func TestMetropolisHastingsWalkSteps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(c.Walk) != 400 {
-		t.Fatalf("walk length %d want 400", len(c.Walk))
+	if len(c.Walk()) != 400 {
+		t.Fatalf("walk length %d want 400", len(c.Walk()))
 	}
-	for i := 0; i+1 < len(c.Walk); i++ {
-		if c.Walk[i] != c.Walk[i+1] && !g.HasEdge(c.Walk[i], c.Walk[i+1]) {
-			t.Fatalf("step %d: %d-%d is neither a self-loop nor an edge", i, c.Walk[i], c.Walk[i+1])
+	for i := 0; i+1 < len(c.Walk()); i++ {
+		if c.Walk()[i] != c.Walk()[i+1] && !g.HasEdge(c.Walk()[i], c.Walk()[i+1]) {
+			t.Fatalf("step %d: %d-%d is neither a self-loop nor an edge", i, c.Walk()[i], c.Walk()[i+1])
 		}
 	}
 	if _, err := MetropolisHastingsWalkSteps(NewGraphAccess(g), 0, 0, rng(2)); err == nil {
@@ -158,8 +158,8 @@ func TestMHWalkUniformVisitsChiSquare(t *testing.T) {
 	const thin = 5
 	counts := make([]float64, g.N())
 	samples := 0.0
-	for i := burn; i < len(c.Walk); i += thin {
-		counts[c.Walk[i]]++
+	for i := burn; i < len(c.Walk()); i += thin {
+		counts[c.Walk()[i]]++
 		samples++
 	}
 	expected := samples / float64(g.N())
@@ -187,8 +187,8 @@ func TestMHWalkUniformVisitsChiSquare(t *testing.T) {
 	}
 	srw := make([]float64, g.N())
 	n := 0.0
-	for i := burn; i < len(cs.Walk); i += thin {
-		srw[cs.Walk[i]]++
+	for i := burn; i < len(cs.Walk()); i += thin {
+		srw[cs.Walk()[i]]++
 		n++
 	}
 	exp := n / float64(g.N())
@@ -215,17 +215,17 @@ func TestNonBacktrackingMultiEdgeLeafBacktracks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i := 2; i < len(c.Walk); i++ {
-			if c.Walk[i] == c.Walk[i-2] {
-				mid := c.Walk[i-1]
-				if g.Degree(mid) > 1 && !allEqual(g.Neighbors(mid), c.Walk[i-2]) {
+		for i := 2; i < len(c.Walk()); i++ {
+			if c.Walk()[i] == c.Walk()[i-2] {
+				mid := c.Walk()[i-1]
+				if g.Degree(mid) > 1 && !allEqual(g.Neighbors(mid), c.Walk()[i-2]) {
 					t.Fatalf("seed %d: unforced backtrack at step %d via node %d", s, i, mid)
 				}
 			}
 		}
-		if len(c.Walk) >= 3 && c.Walk[0] == 0 && c.Walk[1] == 1 {
-			if c.Walk[2] != 0 {
-				t.Fatalf("seed %d: walk %v must backtrack from the multi-edge leaf", s, c.Walk)
+		if len(c.Walk()) >= 3 && c.Walk()[0] == 0 && c.Walk()[1] == 1 {
+			if c.Walk()[2] != 0 {
+				t.Fatalf("seed %d: walk %v must backtrack from the multi-edge leaf", s, c.Walk())
 			}
 			return // forced-backtrack case exercised
 		}
@@ -247,15 +247,15 @@ func TestNonBacktrackingBacktracksOnlyWhenForced(t *testing.T) {
 		t.Fatal(err)
 	}
 	backtracks := 0
-	for i := 2; i < len(c.Walk); i++ {
-		if c.Walk[i] != c.Walk[i-2] {
+	for i := 2; i < len(c.Walk()); i++ {
+		if c.Walk()[i] != c.Walk()[i-2] {
 			continue
 		}
 		backtracks++
-		mid := c.Walk[i-1]
-		if g.Degree(mid) > 1 && !allEqual(g.Neighbors(mid), c.Walk[i-2]) {
+		mid := c.Walk()[i-1]
+		if g.Degree(mid) > 1 && !allEqual(g.Neighbors(mid), c.Walk()[i-2]) {
 			t.Fatalf("unforced backtrack at step %d via node %d (degree %d)", i, mid, g.Degree(mid))
 		}
 	}
-	t.Logf("walk length %d, forced backtracks %d", len(c.Walk), backtracks)
+	t.Logf("walk length %d, forced backtracks %d", len(c.Walk()), backtracks)
 }

@@ -12,8 +12,9 @@
 # The gate divides, not subtracts: each production benchmark in PAIRS
 # below is timed against a frozen reference that runs in the same
 # `go test` process (the ComputeAll*/Brandes references right after their
-# production benchmark, Rewire/adjset two rows before sharded1), so both
-# see the same host. Its fresh
+# production benchmark, Rewire/adjset right before sharded1,
+# RestoreSpans/mapref right after dense), so both see the same host. Its
+# fresh
 # ratio is the median over runs of production ns/op / reference ns/op;
 # the committed ratio is the same median over COMMITTED.json's runs. A pair whose fresh ratio
 # exceeds the committed one by more than MAX_REGRESSION_PCT (default 20)
@@ -30,7 +31,8 @@ set -euo pipefail
 PAIRS='BenchmarkComputeAllExact BenchmarkComputeAllExactRef
 BenchmarkComputeAllPivot BenchmarkComputeAllPivotRef
 BenchmarkBrandesAllSources BenchmarkBrandesAllSourcesRef
-BenchmarkRewire/sharded1 BenchmarkRewire/adjset'
+BenchmarkRewire/sharded1 BenchmarkRewire/adjset
+BenchmarkRestoreSpans/dense BenchmarkRestoreSpans/mapref'
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
   echo "usage: $0 COMMITTED.json FRESH.json [MAX_REGRESSION_PCT]" >&2

@@ -23,6 +23,10 @@ type (
 	Edge = graph.Edge
 	// Crawl is the outcome of a crawling method: queried nodes, their
 	// neighbor lists (the paper's sampling list L), and the walk sequence.
+	// It is immutable and read through accessors (Queried, Lists, Walk and
+	// the dense labeling the crawl computes once); its fields are
+	// unexported, so a struct literal no longer compiles. NewCrawl builds
+	// one.
 	Crawl = sampling.Crawl
 	// Subgraph is the induced subgraph G' of a crawl.
 	Subgraph = sampling.Subgraph
@@ -81,6 +85,12 @@ func Preprocess(g *Graph) *Graph {
 // given fraction of nodes has been queried (Sec. III-B).
 func RandomWalk(g *Graph, seed int, fraction float64, r *rand.Rand) (*Crawl, error) {
 	return sampling.RandomWalk(sampling.NewGraphAccess(g), seed, fraction, r)
+}
+
+// NewCrawl builds a crawl from parallel queried-node and neighbor-list
+// slices plus an optional walk sequence, rejecting inconsistent input.
+func NewCrawl(queried []int, lists [][]int, walk []int) (*Crawl, error) {
+	return sampling.NewCrawl(queried, lists, walk)
 }
 
 // BuildSubgraph constructs the induced subgraph G' of a crawl (Sec. III-D).
