@@ -294,9 +294,8 @@ func TestBuildSubgraphDedupsSharedEdges(t *testing.T) {
 // TestBuildSubgraphFollowsLabelRule pins the labeling rule: queried
 // nodes keep their first-query order even where it is not ascending, the
 // visible nodes follow in ascending ID whatever order the lists name them
-// in, and no edge appears that no neighbor list names. The subgraph reads
-// the crawl's own node table, and the dense rows and walk map back to the
-// lists and walk entry for entry.
+// in, and no edge appears that no neighbor list names. The dense rows and
+// walk map back to the lists and walk entry for entry.
 func TestBuildSubgraphFollowsLabelRule(t *testing.T) {
 	c := mustCrawl(t, []int{7, 1, 4},
 		[][]int{{9, 1, 2}, {7, 2, 5, 4}, {1, 9}},
@@ -304,9 +303,6 @@ func TestBuildSubgraphFollowsLabelRule(t *testing.T) {
 	s := BuildSubgraph(c)
 	if want := []int{7, 1, 4, 2, 5, 9}; !slices.Equal(s.Nodes, want) || s.NumQueried != 3 {
 		t.Errorf("nodes %v (%d queried), want %v (3 queried)", s.Nodes, s.NumQueried, want)
-	}
-	if &s.Nodes[0] != &c.Nodes()[0] {
-		t.Error("subgraph holds a node table of its own, not the crawl's")
 	}
 	off, adj := c.DenseRows()
 	for i, nb := range c.Lists() {
