@@ -53,12 +53,15 @@ endef
 
 # Pipeline perf baseline: BenchmarkRewire (the frozen serial adjset
 # reference, and the sharded engine at 1 and 8 workers),
-# BenchmarkRestoreEndToEnd, and BenchmarkRestoreSpans (a parsed crawl
+# BenchmarkRestoreEndToEnd, BenchmarkRestoreSpans (a parsed crawl
 # through the estimate and subgraph spans, next to the frozen map-based
-# path), with allocation stats. The spans take about a millisecond, so
-# they get the oracle iteration count.
+# path) and BenchmarkRestorePhases (the subgraph, phases 1-3 and the
+# rewiring engine's set-up, next to the frozen AddEdge builds), with
+# allocation stats. The spans take about a millisecond, so they get the
+# oracle iteration count; the phases take about ten, so 100 iterations
+# keep their run near two seconds.
 bench-json:
-	$(call record-bench,$(GO) test -run='^$$' -bench='^(BenchmarkRewire|BenchmarkRestoreEndToEnd)$$' -benchmem -benchtime=$(BENCHTIME) ./internal/dkseries ./internal/core && $(GO) test -run='^$$' -bench='^BenchmarkRestoreSpans$$' -benchmem -benchtime=$(ORACLE_BENCHTIME) ./internal/estimate,BENCH_rewire.json)
+	$(call record-bench,$(GO) test -run='^$$' -bench='^(BenchmarkRewire|BenchmarkRestoreEndToEnd)$$' -benchmem -benchtime=$(BENCHTIME) ./internal/dkseries ./internal/core && $(GO) test -run='^$$' -bench='^BenchmarkRestoreSpans$$' -benchmem -benchtime=$(ORACLE_BENCHTIME) ./internal/estimate && $(GO) test -run='^$$' -bench='^BenchmarkRestorePhases$$' -benchmem -benchtime=100x ./internal/core,BENCH_rewire.json)
 
 # bench-gate re-records each gated baseline — the rewiring engine and the
 # crawl's consumers (BENCH_rewire.json) and the property/read path (BENCH_props.json) — five
@@ -177,6 +180,7 @@ sgrbench-test:
 # Short fuzz smoke of the native fuzz targets.
 fuzz:
 	$(GO) test ./internal/core -run='^FuzzFenwick$$' -fuzz='^FuzzFenwick$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/graph -run='^FuzzFromEdgeLists$$' -fuzz='^FuzzFromEdgeLists$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sampling -run='^FuzzReadCrawlJSON$$' -fuzz='^FuzzReadCrawlJSON$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/restored -run='^FuzzCacheKeyCanonicalization$$' -fuzz='^FuzzCacheKeyCanonicalization$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/restored -run='^FuzzJobJournal$$' -fuzz='^FuzzJobJournal$$' -fuzztime=$(FUZZTIME)

@@ -9,7 +9,7 @@ import (
 
 	"sgr/internal/dkseries"
 	"sgr/internal/estimate"
-	"sgr/internal/graph"
+	"sgr/internal/sampling"
 )
 
 // jdmState carries the target joint degree matrix under construction with
@@ -109,12 +109,6 @@ const maxAdjustSteps = 50_000_000
 // columns in the initial disequilibrium set D (plus degree 1) are touched.
 func (s *jdmState) adjustJDM(mmin *dkseries.JDM, r *rand.Rand) error {
 	kmax := s.dv.KMax()
-	minAt := func(k, kp int) int {
-		if mmin == nil {
-			return 0
-		}
-		return mmin.Get(k, kp)
-	}
 	// D = {k : s(k) != s*(k)} ∪ {1}, iterated in decreasing order.
 	var d []int // ascending
 	for k := 1; k <= kmax; k++ {
@@ -143,7 +137,7 @@ func (s *jdmState) adjustJDM(mmin *dkseries.JDM, r *rand.Rand) error {
 				excludeSelf := sk() == sStar()-1
 				cands = cands[:0]
 				best := math.Inf(1)
-				mh := s.mHat[k]
+				mh, row := s.mHat[k], s.jdm.Row(k)
 				for _, kp := range d {
 					if kp > k {
 						break
@@ -151,7 +145,7 @@ func (s *jdmState) adjustJDM(mmin *dkseries.JDM, r *rand.Rand) error {
 					if kp == k && excludeSelf {
 						continue
 					}
-					delta := deltaAdd(seekMHat(&mh, kp), s.jdm.Get(k, kp), +1)
+					delta := deltaAdd(seekMHat(&mh, kp), row.Seek(kp), +1)
 					if delta < best {
 						best = delta
 						cands = append(cands[:0], kp)
@@ -169,7 +163,11 @@ func (s *jdmState) adjustJDM(mmin *dkseries.JDM, r *rand.Rand) error {
 				excludeSelf := sk() == sStar()+1
 				cands = cands[:0]
 				best := math.Inf(1)
-				mh := s.mHat[k]
+				mh, row := s.mHat[k], s.jdm.Row(k)
+				var floor dkseries.JDMRow // mmin's row; nil mmin is all-zero
+				if mmin != nil {
+					floor = mmin.Row(k)
+				}
 				for _, kp := range d {
 					if kp > k {
 						break
@@ -177,8 +175,8 @@ func (s *jdmState) adjustJDM(mmin *dkseries.JDM, r *rand.Rand) error {
 					if kp == k && excludeSelf {
 						continue
 					}
-					cur := s.jdm.Get(k, kp)
-					if cur <= minAt(k, kp) {
+					cur := row.Seek(kp)
+					if cur <= floor.Seek(kp) {
 						continue
 					}
 					delta := deltaAdd(seekMHat(&mh, kp), cur, -1)
@@ -222,9 +220,9 @@ func (s *jdmState) modifyJDM(mPrime *dkseries.JDM, r *rand.Rand) {
 	pickDecrement := func(row, x1, x2 int) int {
 		best := math.Inf(1)
 		cands = cands[:0]
-		mh := s.mHat[row]
+		mh, floor := s.mHat[row], mPrime.Row(row)
 		s.jdm.IterRow(row, func(kp, cur int) bool {
-			if kp == x1 || kp == x2 || cur <= mPrime.Get(row, kp) {
+			if kp == x1 || kp == x2 || cur <= floor.Seek(kp) {
 				return true
 			}
 			delta := deltaAdd(seekMHat(&mh, kp), cur, -1)
@@ -265,15 +263,15 @@ func (s *jdmState) modifyJDM(mPrime *dkseries.JDM, r *rand.Rand) {
 }
 
 // buildTargetJDM runs phase 2 end to end. The degree vector dv is mutated
-// in place when the adjustment needs extra nodes. sub's edges and target
-// degrees are nil for Gjoka et al.'s method (no modification step).
-func buildTargetJDM(est *estimate.Estimates, dv dkseries.DegreeVector, subGraph *graph.Graph, targetDeg []int, r *rand.Rand) (*dkseries.JDM, error) {
+// in place when the adjustment needs extra nodes. sub and target degrees
+// are nil for Gjoka et al.'s method (no modification step).
+func buildTargetJDM(est *estimate.Estimates, dv dkseries.DegreeVector, sub *sampling.Subgraph, targetDeg []int, r *rand.Rand) (*dkseries.JDM, error) {
 	s := initJDM(est, dv)
 	if err := s.adjustJDM(nil, r); err != nil {
 		return nil, err
 	}
-	if subGraph != nil {
-		mPrime := dkseries.JDMFromBase(subGraph, targetDeg, dv.KMax())
+	if sub != nil {
+		mPrime := dkseries.JDMFromBase(sub.Edges, targetDeg, dv.KMax())
 		s.modifyJDM(mPrime, r)
 		if err := s.adjustJDM(mPrime, r); err != nil {
 			return nil, err

@@ -173,7 +173,7 @@ func (res *Result) Validate() error {
 		// Multiplicity probes by binary search on the CSR snapshots'
 		// sorted rows instead of per-query neighbor-list scans.
 		c, sub := res.Graph.CSR(), res.Subgraph.Graph.CSR()
-		for _, e := range res.Subgraph.Graph.Edges() {
+		for _, e := range res.Subgraph.Edges {
 			if c.Multiplicity(e.U, e.V) < sub.Multiplicity(e.U, e.V) {
 				return fmt.Errorf("core: subgraph edge (%d,%d) missing from output", e.U, e.V)
 			}
@@ -259,23 +259,19 @@ func runWith(c *sampling.Crawl, est *estimate.Estimates, opts Options, useSubgra
 	}
 
 	// Phase 2: target joint degree matrix.
-	var subGraph *graph.Graph
-	if sub != nil {
-		subGraph = sub.Graph
-	}
 	var jdm *dkseries.JDM
 	if err := opts.phase("phase2_jdm", func() (err error) {
-		jdm, err = buildTargetJDM(est, dvs.dv, subGraph, targetDeg, opts.Rand)
+		jdm, err = buildTargetJDM(est, dvs.dv, sub, targetDeg, opts.Rand)
 		return err
 	}); err != nil {
 		return nil, err
 	}
 
 	// Phase 3: add nodes and edges to the subgraph (Algorithm 5).
-	base := graph.New(0)
+	var base []graph.Edge
 	var baseTarget []int
 	if sub != nil {
-		base = sub.Graph
+		base = sub.Edges
 		baseTarget = targetDeg
 	}
 	var built *dkseries.BuildResult
@@ -291,7 +287,7 @@ func runWith(c *sampling.Crawl, est *estimate.Estimates, opts Options, useSubgra
 		TargetJDM: jdm,
 		Estimates: est,
 		Subgraph:  sub,
-		NumAdded:  built.Graph.N() - base.N(),
+		NumAdded:  built.Graph.N() - built.NumBase,
 	}
 
 	// Phase 4: rewire toward the estimated clustering (Algorithm 6). The

@@ -471,14 +471,14 @@ func TestPhase2DirectInvariants(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	jdm, err := buildTargetJDM(est, s.dv, sub.Graph, targetDeg, rng(63))
+	jdm, err := buildTargetJDM(est, s.dv, sub, targetDeg, rng(63))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if err := jdm.Check(s.dv); err != nil {
 		t.Fatalf("JDM-3 violated: %v", err)
 	}
-	mPrime := dkseries.JDMFromBase(sub.Graph, targetDeg, s.dv.KMax())
+	mPrime := dkseries.JDMFromBase(sub.Edges, targetDeg, s.dv.KMax())
 	if err := jdm.CheckAgainstBase(mPrime); err != nil {
 		t.Fatalf("JDM-4 violated: %v", err)
 	}

@@ -120,7 +120,7 @@ func BenchmarkDK25(b *testing.B) {
 
 // BenchmarkRewireSetup times the engine's work outside its rounds on the
 // anybeat 0.25 stand-in with every edge a candidate (Gjoka et al.'s
-// setting): newShardedState, then the output graph's assembly.
+// setting): newShardedState, then the output graph's construction.
 func BenchmarkRewireSetup(b *testing.B) {
 	d, err := gen.ByName("anybeat")
 	if err != nil {
@@ -133,6 +133,6 @@ func BenchmarkRewireSetup(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		st, _ := newShardedState(src.N(), nil, cands, target)
-		assemble(src.N(), nil, st.ends)
+		graph.FromEdgeLists(src.N(), nil, st.ends)
 	}
 }

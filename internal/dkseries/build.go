@@ -18,26 +18,31 @@ type BuildResult struct {
 }
 
 // Build implements Algorithm 5 generalized to an arbitrary base: it
-// constructs a graph that contains base as a subgraph and exactly realizes
-// the target degree vector dv and target joint degree matrix jdm. Passing a
-// nil or empty base yields the classic 2K construction from an empty graph
-// (used by Gjoka et al.'s method, Appendix B).
+// constructs a graph that contains the base subgraph and exactly realizes
+// the target degree vector dv and target joint degree matrix jdm. The base
+// is given by its edges over nodes [0, len(baseTargetDeg)); the result is
+// graph.FromEdgeLists of the base edges, then the added ones, so base rows
+// keep their order. A nil base yields the classic 2K construction from an
+// empty graph (used by Gjoka et al.'s method, Appendix B).
 //
 // baseTargetDeg assigns each base node its target degree (>= its degree in
-// base). Build validates all realizability conditions and returns an error
-// naming the violated one, so callers' target-construction bugs surface
-// immediately rather than as panics mid-wiring.
-func Build(base *graph.Graph, baseTargetDeg []int, dv DegreeVector, jdm *JDM, r *rand.Rand) (*BuildResult, error) {
-	if base == nil {
-		base = graph.New(0)
-	}
-	if base.N() != len(baseTargetDeg) {
-		return nil, fmt.Errorf("dkseries: base has %d nodes but %d target degrees", base.N(), len(baseTargetDeg))
+// the base). Build validates all realizability conditions and returns an
+// error naming the violated one, so callers' target-construction bugs
+// surface immediately rather than as panics mid-wiring.
+func Build(base []graph.Edge, baseTargetDeg []int, dv DegreeVector, jdm *JDM, r *rand.Rand) (*BuildResult, error) {
+	nBase := len(baseTargetDeg)
+	baseDeg := make([]int, nBase)
+	for _, e := range base {
+		if e.U < 0 || e.U >= nBase || e.V < 0 || e.V >= nBase {
+			return nil, fmt.Errorf("dkseries: base edge (%d,%d) outside the %d base nodes", e.U, e.V, nBase)
+		}
+		baseDeg[e.U]++ // a self-loop counts twice, as in a graph
+		baseDeg[e.V]++
 	}
 	kmax := dv.KMax()
 	for i, d := range baseTargetDeg {
-		if d < base.Degree(i) {
-			return nil, fmt.Errorf("dkseries: node %d target degree %d < base degree %d", i, d, base.Degree(i))
+		if d < baseDeg[i] {
+			return nil, fmt.Errorf("dkseries: node %d target degree %d < base degree %d", i, d, baseDeg[i])
 		}
 		if d > kmax {
 			return nil, fmt.Errorf("dkseries: node %d target degree %d > kmax %d", i, d, kmax)
@@ -58,26 +63,25 @@ func Build(base *graph.Graph, baseTargetDeg []int, dv DegreeVector, jdm *JDM, r 
 		return nil, err
 	}
 
-	res := &BuildResult{Graph: base.Clone(), NumBase: base.N()}
+	res := &BuildResult{NumBase: nBase}
 	nTotal := dv.NumNodes()
-	res.Graph.AddNodes(nTotal - base.N())
 
 	// Assign target degrees: base nodes keep theirs; the remaining degree
 	// slots are shuffled onto the added nodes (Algorithm 5 lines 3-8).
 	res.TargetDeg = make([]int, nTotal)
 	copy(res.TargetDeg, baseTargetDeg)
-	seq := make([]int, 0, nTotal-base.N())
+	seq := make([]int, 0, nTotal-nBase)
 	for k := 1; k <= kmax; k++ {
 		for i := 0; i < dv[k]-baseCounts[k]; i++ {
 			seq = append(seq, k)
 		}
 	}
-	if len(seq) != nTotal-base.N() {
-		return nil, fmt.Errorf("dkseries: degree sequence length %d != added nodes %d", len(seq), nTotal-base.N())
+	if len(seq) != nTotal-nBase {
+		return nil, fmt.Errorf("dkseries: degree sequence length %d != added nodes %d", len(seq), nTotal-nBase)
 	}
 	r.Shuffle(len(seq), func(i, j int) { seq[i], seq[j] = seq[j], seq[i] })
 	for i, k := range seq {
-		res.TargetDeg[base.N()+i] = k
+		res.TargetDeg[nBase+i] = k
 	}
 
 	// Free half-edges per degree class (lines 9-12): base nodes contribute
@@ -85,8 +89,8 @@ func Build(base *graph.Graph, baseTargetDeg []int, dv DegreeVector, jdm *JDM, r 
 	halves := make([][]int, kmax+1)
 	for u := 0; u < nTotal; u++ {
 		free := res.TargetDeg[u]
-		if u < base.N() {
-			free -= base.Degree(u)
+		if u < nBase {
+			free -= baseDeg[u]
 		}
 		k := res.TargetDeg[u]
 		for i := 0; i < free; i++ {
@@ -118,7 +122,6 @@ func Build(base *graph.Graph, baseTargetDeg []int, dv DegreeVector, jdm *JDM, r 
 			if v, err = pop(kp); err != nil {
 				return false
 			}
-			res.Graph.AddEdge(u, v)
 			res.Added = append(res.Added, graph.Edge{U: u, V: v})
 		}
 		return true
@@ -131,5 +134,6 @@ func Build(base *graph.Graph, baseTargetDeg []int, dv DegreeVector, jdm *JDM, r 
 			return nil, fmt.Errorf("dkseries: %d unused half-edges in class %d", len(h), k)
 		}
 	}
+	res.Graph = graph.FromEdgeLists(nTotal, base, res.Added)
 	return res, nil
 }

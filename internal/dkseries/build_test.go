@@ -46,7 +46,7 @@ func TestBuildFromEmptyRealizesTargets(t *testing.T) {
 		t.Fatal(err)
 	}
 	jdm := JDMFromGraph(src)
-	res, err := Build(graph.New(0), nil, dv, jdm, rng(3))
+	res, err := Build(nil, nil, dv, jdm, rng(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestBuildFromBaseContainsBase(t *testing.T) {
 		t.Fatal(err)
 	}
 	jdm := JDMFromGraph(src)
-	res, err := Build(base, baseTarget, dv, jdm, rng(5))
+	res, err := Build(base.Edges(), baseTarget, dv, jdm, rng(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,34 +106,29 @@ func TestBuildValidatesInputs(t *testing.T) {
 	jdm := NewJDM(2)
 	jdm.Add(1, 2, 2)
 
-	// Mismatched base target length.
-	if _, err := Build(graph.New(1), nil, dv, jdm, rng(6)); err == nil {
-		t.Error("want error for target-degree length mismatch")
+	// A base edge outside the nodes the target degrees cover.
+	if _, err := Build([]graph.Edge{{U: 0, V: 1}}, []int{1}, dv, jdm, rng(6)); err == nil {
+		t.Error("want error for a base edge outside the base nodes")
 	}
 	// Target degree below base degree.
-	base := graph.New(2)
-	base.AddEdge(0, 1)
-	if _, err := Build(base, []int{0, 1}, dv, jdm, rng(6)); err == nil {
+	if _, err := Build([]graph.Edge{{U: 0, V: 1}}, []int{0, 1}, dv, jdm, rng(6)); err == nil {
 		t.Error("want error for target < base degree")
 	}
 	// Odd degree sum.
 	bad := NewDegreeVector(2)
 	bad[1] = 1
 	bad[2] = 1
-	if _, err := Build(graph.New(0), nil, bad, NewJDM(2), rng(6)); err == nil {
+	if _, err := Build(nil, nil, bad, NewJDM(2), rng(6)); err == nil {
 		t.Error("want DV-2 error")
 	}
 	// JDM-3 violation.
 	badJ := NewJDM(2)
 	badJ.Add(1, 1, 1)
-	if _, err := Build(graph.New(0), nil, dv, badJ, rng(6)); err == nil {
+	if _, err := Build(nil, nil, dv, badJ, rng(6)); err == nil {
 		t.Error("want JDM-3 error")
 	}
 	// DV-3 violation: base has more degree-2 nodes than the target allows.
-	p := graph.New(3)
-	p.AddEdge(0, 1)
-	p.AddEdge(1, 2)
-	p.AddEdge(2, 0)
+	p := []graph.Edge{{U: 0, V: 1}, {U: 1, V: 2}, {U: 2, V: 0}}
 	if _, err := Build(p, []int{2, 2, 2}, dv, jdm, rng(6)); err == nil {
 		t.Error("want DV-3 error")
 	}
@@ -143,11 +138,11 @@ func TestBuildDeterministicGivenSeed(t *testing.T) {
 	src := gen.HolmeKim(150, 2, 0.4, rng(7))
 	dv, _ := FromGraph(src)
 	jdm := JDMFromGraph(src)
-	a, err := Build(graph.New(0), nil, dv, jdm, rng(9))
+	a, err := Build(nil, nil, dv, jdm, rng(9))
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Build(graph.New(0), nil, dv, jdm, rng(9))
+	b, err := Build(nil, nil, dv, jdm, rng(9))
 	if err != nil {
 		t.Fatal(err)
 	}

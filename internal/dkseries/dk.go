@@ -44,7 +44,7 @@ func DK2(g *graph.Graph, r *rand.Rand) (*graph.Graph, error) {
 		return nil, err
 	}
 	jdm := JDMFromGraph(g)
-	res, err := Build(graph.New(0), nil, dv, jdm, r)
+	res, err := Build(nil, nil, dv, jdm, r)
 	if err != nil {
 		return nil, err
 	}
@@ -63,7 +63,7 @@ func DK25(g *graph.Graph, rc float64, r *rand.Rand) (*graph.Graph, RewireStats, 
 		return nil, RewireStats{}, err
 	}
 	jdm := JDMFromGraph(g)
-	res, err := Build(graph.New(0), nil, dv, jdm, r)
+	res, err := Build(nil, nil, dv, jdm, r)
 	if err != nil {
 		return nil, RewireStats{}, err
 	}

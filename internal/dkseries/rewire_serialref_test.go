@@ -51,10 +51,8 @@ func rewireSerialRef(n int, fixed []graph.Edge, candidates []graph.Edge, opts re
 		}
 	}
 	stats.FinalL1 = st.distance()
-	// Assemble the final graph. Rewiring preserves every degree, so the
-	// state's degree vector pre-sizes the adjacency exactly: assembly does
-	// no per-edge allocation.
-	g := graph.NewWithDegrees(st.deg)
+	// Assemble the final graph one AddEdge at a time.
+	g := graph.New(n)
 	for _, e := range fixed {
 		g.AddEdge(e.U, e.V)
 	}

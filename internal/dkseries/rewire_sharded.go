@@ -130,7 +130,8 @@ func orDefault(v, def int) int {
 // passes every edge as a candidate.
 //
 // n is the node count; candidates is mutated in place (final endpoints).
-// The returned graph is assembled from fixed plus the rewired candidates.
+// The returned graph is built from fixed plus the rewired candidates, edges
+// in that order.
 // The result is a deterministic function of the inputs and (Seed1, Seed2)
 // — identical at any worker count (see the file comment).
 func RewireSharded(n int, fixed []graph.Edge, candidates []graph.Edge, opts ShardedRewireOptions) (*graph.Graph, RewireStats) {
@@ -142,29 +143,7 @@ func RewireSharded(n int, fixed []graph.Edge, candidates []graph.Edge, opts Shar
 	}
 	stats.FinalL1 = st.distance()
 	copy(candidates, st.ends)
-	return assemble(n, fixed, candidates), stats
-}
-
-// assemble builds the graph of fixed plus candidates, edges in that order,
-// with every neighbor list preallocated to its final degree, so assembly
-// does no per-edge allocation. It builds both the engine's start graph and
-// its output: rewiring preserves degrees, so the two share one shape.
-func assemble(n int, fixed, candidates []graph.Edge) *graph.Graph {
-	lists := [2][]graph.Edge{fixed, candidates}
-	deg := make([]int, n)
-	for _, es := range lists {
-		for _, e := range es {
-			deg[e.U]++ // a self-loop counts twice, as in the graph
-			deg[e.V]++
-		}
-	}
-	g := graph.NewWithDegrees(deg)
-	for _, es := range lists {
-		for _, e := range es {
-			g.AddEdge(e.U, e.V)
-		}
-	}
-	return g
+	return graph.FromEdgeLists(n, fixed, candidates), stats
 }
 
 // sortedRows is the rewiring adjacency as per-node sorted neighbor rows
@@ -180,19 +159,17 @@ type sortedRows struct {
 	cnt []int32 // multiplicities, parallel to nbr
 }
 
-// newShardedState builds the rewiring state from the start graph (fixed
-// plus candidates, assembled like the output) through its CSR snapshot:
-// degrees and kmax come from the CSR, triangle counts from
-// graph.TriangleCounts, and sortedRows is a mutable copy of the CSR's
-// distinct view, each row given capacity deg[u]. The result is
-// value-identical to the serial reference's hash-based construction on the
-// same input (triangle counts are exact integers, and term/sum use the same
-// expressions in the same accumulation order), which
-// TestShardedStateMatchesSerial pins.
+// newShardedState builds the rewiring state from the start graph's CSR
+// snapshot, built straight from fixed plus candidates: degrees and kmax
+// come from the CSR, triangle counts from its TriangleCounts, and
+// sortedRows is a mutable copy of its distinct view, each row given
+// capacity deg[u]. The result is value-identical to the serial reference's
+// hash-based construction on the same input (triangle counts are exact
+// integers, and term/sum use the same expressions in the same accumulation
+// order), which TestShardedStateMatchesSerial pins.
 func newShardedState(n int, fixed, candidates []graph.Edge, target map[int]float64) (*rewireState, *sortedRows) {
-	g := assemble(n, fixed, candidates)
-	csr := g.CSR()
-	st := &rewireState{deg: make([]int, n), t: g.TriangleCounts()}
+	csr := graph.CSRFromEdgeLists(n, fixed, candidates)
+	st := &rewireState{deg: make([]int, n), t: csr.TriangleCounts()}
 	sr := &sortedRows{
 		off: make([]int, n+1),
 		ln:  make([]int32, n),

@@ -13,7 +13,7 @@ func TestRewirePreservesDegreesAndJDM(t *testing.T) {
 	src := gen.HolmeKim(300, 3, 0.6, rng(10))
 	dv, _ := FromGraph(src)
 	jdm := JDMFromGraph(src)
-	res, err := Build(graph.New(0), nil, dv, jdm, rng(11))
+	res, err := Build(nil, nil, dv, jdm, rng(11))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestRewireDecreasesClusteringDistance(t *testing.T) {
 	src := gen.HolmeKim(400, 3, 0.8, rng(13))
 	dv, _ := FromGraph(src)
 	jdm := JDMFromGraph(src)
-	res, err := Build(graph.New(0), nil, dv, jdm, rng(14))
+	res, err := Build(nil, nil, dv, jdm, rng(14))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -263,6 +263,26 @@ func (j *JDM) IterRow(k int, fn func(kp, count int) bool) {
 	}
 }
 
+// JDMRow is a forward cursor over the nonzero cells of one JDM row.
+// Successive Seek calls must ask for ascending k', which makes a scan of
+// the row one merge pass; a change to the row invalidates the cursor. The
+// zero JDMRow reads as an all-zero row.
+type JDMRow []jdmCell
+
+// Row returns a cursor at the start of row k, 0 <= k <= kmax.
+func (j *JDM) Row(k int) JDMRow { return j.rows[k] }
+
+// Seek advances the cursor to column k' and returns m(k,k') there.
+func (r *JDMRow) Seek(kp int) int {
+	for len(*r) > 0 && (*r)[0].kp < kp {
+		*r = (*r)[1:]
+	}
+	if len(*r) > 0 && (*r)[0].kp == kp {
+		return (*r)[0].n
+	}
+	return 0
+}
+
 // Clone returns a deep copy.
 func (j *JDM) Clone() *JDM {
 	c := &JDM{kmax: j.kmax, rows: make([][]jdmCell, len(j.rows)), row: slices.Clone(j.row), cells: j.cells}
@@ -312,25 +332,16 @@ func JDMFromGraph(g *graph.Graph) *JDM {
 	for u := range deg {
 		deg[u] = g.Degree(u)
 	}
-	return JDMFromBase(g, deg, g.MaxDegree())
+	return JDMFromBase(g.Edges(), deg, g.MaxDegree())
 }
 
-// JDMFromBase extracts m'(k,k') of a base graph where node i counts as
-// having target degree targetDeg[i] (which may exceed its current degree).
-func JDMFromBase(base *graph.Graph, targetDeg []int, kmax int) *JDM {
+// JDMFromBase extracts m'(k,k') of a base graph given by its edges, where
+// node i counts as having target degree targetDeg[i] (which may exceed its
+// current degree). A self-loop counts once on the diagonal.
+func JDMFromBase(base []graph.Edge, targetDeg []int, kmax int) *JDM {
 	j := NewJDM(kmax)
-	for u := 0; u < base.N(); u++ {
-		loops := 0
-		for _, v := range base.Neighbors(u) {
-			if v > u {
-				j.Add(targetDeg[u], targetDeg[v], 1)
-			} else if v == u {
-				loops++
-			}
-		}
-		if loops > 0 {
-			j.Add(targetDeg[u], targetDeg[u], loops/2)
-		}
+	for _, e := range base {
+		j.Add(targetDeg[e.U], targetDeg[e.V], 1)
 	}
 	return j
 }

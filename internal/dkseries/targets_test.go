@@ -149,16 +149,12 @@ func TestJDMAgainstBase(t *testing.T) {
 
 func TestJDMFromBaseUsesTargetDegrees(t *testing.T) {
 	// Edge (0,1); node 0 target degree 5, node 1 target degree 2.
-	base := graph.New(2)
-	base.AddEdge(0, 1)
-	j := JDMFromBase(base, []int{5, 2}, 6)
+	j := JDMFromBase([]graph.Edge{{U: 0, V: 1}}, []int{5, 2}, 6)
 	if j.Get(2, 5) != 1 {
 		t.Fatalf("JDMFromBase: %v", j.Cells())
 	}
 	// Loop counts once on the diagonal.
-	lg := graph.New(1)
-	lg.AddEdge(0, 0)
-	j2 := JDMFromBase(lg, []int{3}, 3)
+	j2 := JDMFromBase([]graph.Edge{{U: 0, V: 0}}, []int{3}, 3)
 	if j2.Get(3, 3) != 1 {
 		t.Fatalf("loop base JDM: %v", j2.Cells())
 	}

@@ -132,23 +132,20 @@ func DecodeBinary(data []byte) (*Graph, error) {
 	if total != uint64(ends) {
 		return nil, fmt.Errorf("graph: degree sum %d != declared endpoint count %d", total, ends)
 	}
-	// One arena backs every neighbor list, like NewWithDegrees.
+	// One arena backs every row, carved as FromEdgeLists carves its own.
+	off := make([]int, n+1)
 	arena := make([]int, ends)
-	g := &Graph{adj: make([][]int, n), m: int(ends) / 2}
-	off := 0
 	for u := 0; u < int(n); u++ {
-		d := int(binary.LittleEndian.Uint32(deg[4*u:]))
-		row := arena[off : off+d]
-		for i := range row {
-			v := binary.LittleEndian.Uint32(pts[4*(off+i):])
+		off[u+1] = off[u] + int(binary.LittleEndian.Uint32(deg[4*u:]))
+		for i := off[u]; i < off[u+1]; i++ {
+			v := binary.LittleEndian.Uint32(pts[4*i:])
 			if v >= n {
 				return nil, fmt.Errorf("graph: node %d lists out-of-range neighbor %d", u, v)
 			}
-			row[i] = int(v)
+			arena[i] = int(v)
 		}
-		g.adj[u] = row
-		off += d
 	}
+	g := fromArena(off, arena)
 	// Structural re-validation: symmetry and paired self-loops cannot be
 	// checked from lengths alone, and a graph violating them would break
 	// every downstream invariant.

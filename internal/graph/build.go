@@ -5,9 +5,9 @@ import "sort"
 // Simplify returns a copy of g with self-loops removed and multi-edges
 // collapsed to a single edge. This mirrors the paper's dataset preprocessing.
 func (g *Graph) Simplify() *Graph {
-	s := New(g.N())
+	edges := make([]Edge, 0, g.m)
 	// A pair {u, v}, u < v, is only ever added from row u, so a per-row
-	// stamp dedupes it: mark[v] == u+1 says {u, v} is in s.
+	// stamp dedupes it: mark[v] == u+1 says {u, v} is in edges.
 	mark := make([]int, g.N())
 	for u, a := range g.adj {
 		for _, v := range a {
@@ -15,10 +15,10 @@ func (g *Graph) Simplify() *Graph {
 				continue
 			}
 			mark[v] = u + 1
-			s.AddEdge(u, v)
+			edges = append(edges, Edge{u, v})
 		}
 	}
-	return s
+	return FromEdgeLists(g.N(), edges)
 }
 
 // ConnectedComponents returns the node sets of the connected components,
@@ -85,7 +85,7 @@ func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int) {
 	for i, u := range nodes {
 		idx[u] = i + 1
 	}
-	sub := New(len(nodes))
+	var edges []Edge
 	for i, u := range nodes {
 		loops := 0
 		for _, v := range g.adj[u] {
@@ -94,15 +94,15 @@ func (g *Graph) InducedSubgraph(nodes []int) (*Graph, []int) {
 				continue
 			}
 			if j := idx[v] - 1; j > i {
-				sub.AddEdge(i, j)
+				edges = append(edges, Edge{i, j})
 			}
 		}
 		for l := 0; l < loops/2; l++ {
-			sub.AddEdge(i, i)
+			edges = append(edges, Edge{i, i})
 		}
 	}
 	mapping := append([]int(nil), nodes...)
-	return sub, mapping
+	return FromEdgeLists(len(nodes), edges), mapping
 }
 
 // Preprocess mirrors the paper's dataset preparation: drop edge directions

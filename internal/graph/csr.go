@@ -11,10 +11,10 @@ import (
 // multiplicity probes of Graph.Validate and the restoration post-condition.
 // It is one of three adjacency forms in production code, next to the
 // Graph's own mutable neighbor lists and the rewiring engine's sorted rows
-// (internal/dkseries), which start as a mutable copy of this snapshot's
-// distinct view. It carries two views of every node's row, both
-// int32-indexed and carved out of flat arrays so hot loops touch
-// contiguous memory instead of chasing [][]int:
+// (internal/dkseries), which start as a mutable copy of the distinct view
+// of a snapshot that CSRFromEdgeLists builds without a Graph. It carries
+// two views of every node's row, both int32-indexed and carved out of flat
+// arrays so hot loops touch contiguous memory instead of chasing [][]int:
 //
 //   - the endpoint view (Endpoints): one entry per incident edge endpoint in
 //     the graph's original adjacency order — multi-edges repeat, a self-loop
@@ -28,10 +28,10 @@ import (
 //     scans of contiguous rows, and make float accumulation order
 //     reproducible.
 //
-// Obtain one via Graph.CSR(); it is cached on the graph and invalidated by
-// every mutating method. A CSR handle held across a mutation keeps
-// answering for the snapshot it was built from. A CSR is safe for
-// concurrent readers.
+// Obtain one via Graph.CSR(), cached on the graph and invalidated by every
+// mutating method, or from edge lists via CSRFromEdgeLists. A CSR handle
+// held across a mutation keeps answering for the snapshot it was built
+// from. A CSR is safe for concurrent readers.
 type CSR struct {
 	n int
 	m int
@@ -63,45 +63,59 @@ func (g *Graph) CSR() *CSR {
 	return g.csr
 }
 
-// buildCSR constructs a fresh snapshot from the current adjacency lists.
-// The distinct rows come out sorted without any per-row sort: scanning
-// source nodes v in ascending order and appending v to each neighbor's row
-// produces ascending rows with duplicate endpoints adjacent, so
-// multiplicities compress on the fly.
+// buildCSR constructs a fresh snapshot from the current adjacency lists:
+// the endpoint view flattens them verbatim.
 func (g *Graph) buildCSR() *CSR {
-	n := len(g.adj)
-	if n > math.MaxInt32 {
-		panic(fmt.Sprintf("graph: %d nodes exceed the CSR int32 index space", n))
-	}
 	ends := 0
 	for _, a := range g.adj {
 		ends += len(a)
 	}
-	if ends > math.MaxInt32 {
-		panic(fmt.Sprintf("graph: %d edge endpoints exceed the CSR int32 index space", ends))
+	checkCSRSize(len(g.adj), ends)
+	endOff := make([]int32, len(g.adj)+1)
+	endpoints := make([]int32, 0, ends)
+	for u, a := range g.adj {
+		for _, v := range a {
+			endpoints = append(endpoints, int32(v))
+		}
+		endOff[u+1] = int32(len(endpoints))
 	}
+	return newCSR(g.m, endOff, endpoints)
+}
+
+// CSRFromEdgeLists returns the snapshot FromEdgeLists(n, lists...).CSR()
+// would return, built from the edge lists without the graph, for readers
+// that need only the snapshot. An endpoint outside [0, n) panics.
+func CSRFromEdgeLists(n int, lists ...[]Edge) *CSR {
+	ends := 0
+	for _, es := range lists {
+		ends += 2 * len(es)
+	}
+	checkCSRSize(n, ends)
+	endOff, endpoints := edgeRows[int32](n, lists)
+	return newCSR(ends/2, endOff, endpoints)
+}
+
+func checkCSRSize(n, ends int) {
+	if n > math.MaxInt32 || ends > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: %d nodes, %d edge endpoints exceed the CSR int32 index space", n, ends))
+	}
+}
+
+// newCSR completes a snapshot from its endpoint view. It is the one
+// builder of sorted distinct rows: they come out sorted without any
+// per-row sort, because scanning source nodes v in ascending order and
+// appending v to each neighbor's row produces ascending rows with
+// duplicate endpoints adjacent, so multiplicities compress on the fly.
+func newCSR(m int, endOff, endpoints []int32) *CSR {
+	n := len(endOff) - 1
 	c := &CSR{
 		n:         n,
-		m:         g.m,
-		endOff:    make([]int32, n+1),
-		endpoints: make([]int32, ends),
+		m:         m,
+		endOff:    endOff,
+		endpoints: endpoints,
 		off:       make([]int32, n+1),
 		loops:     make([]int32, n),
 	}
-	// Endpoint view: flatten the adjacency lists verbatim.
-	pos := int32(0)
-	for u, a := range g.adj {
-		c.endOff[u] = pos
-		if len(a) > c.maxDeg {
-			c.maxDeg = len(a)
-		}
-		for _, v := range a {
-			c.endpoints[pos] = int32(v)
-			pos++
-		}
-	}
-	c.endOff[n] = pos
-
 	// Distinct view, pass 1: count each row's distinct non-self neighbors.
 	// lastSeen[u] tracks the previous v appended to u's row; v ascends, so
 	// a repeat of the same v is always immediately preceding.
@@ -111,8 +125,9 @@ func (g *Graph) buildCSR() *CSR {
 	}
 	cnt := make([]int32, n)
 	for v := 0; v < n; v++ {
-		for _, u := range g.adj[v] {
-			if u == v {
+		c.maxDeg = max(c.maxDeg, c.Degree(v))
+		for _, u := range c.Endpoints(v) {
+			if int(u) == v {
 				continue
 			}
 			if lastSeen[u] != int32(v) {
@@ -139,8 +154,8 @@ func (g *Graph) buildCSR() *CSR {
 	}
 	for v := 0; v < n; v++ {
 		loopEnds := int32(0)
-		for _, u := range g.adj[v] {
-			if u == v {
+		for _, u := range c.Endpoints(v) {
+			if int(u) == v {
 				loopEnds++
 				continue
 			}

@@ -40,28 +40,62 @@ func New(n int) *Graph {
 	return &Graph{adj: make([][]int, n)}
 }
 
-// NewWithDegrees returns a graph with len(deg) isolated nodes whose
-// neighbor lists are preallocated to the given endpoint capacities out of
-// one shared arena (a self-loop consumes two endpoints). Callers that know
-// the final degree sequence — e.g. rewiring, which preserves degrees —
-// assemble the graph without any per-AddEdge allocation; exceeding a
-// capacity is safe and merely reallocates that list.
-func NewWithDegrees(deg []int) *Graph {
-	total := 0
-	for _, d := range deg {
-		if d > 0 {
-			total += d
+// FromEdgeLists returns the graph that New(n) followed by AddEdge(e.U, e.V)
+// for every edge of lists[0], then lists[1], and so on, would hold: the same
+// rows in the same per-row order, the same M, and two endpoints per
+// self-loop. It counts degrees first and carves every row out of one arena,
+// so it allocates per graph, not per row growth. An endpoint outside
+// [0, n) panics, as AddEdge does.
+func FromEdgeLists(n int, lists ...[]Edge) *Graph {
+	off, arena := edgeRows[int](n, lists)
+	return fromArena(off, arena)
+}
+
+// edgeRows lays out the rows FromEdgeLists documents end to end in one
+// arena: row u is arena[off[u]:off[u+1]]. It is shared by the graph and
+// by CSRFromEdgeLists, which needs the rows as int32.
+func edgeRows[T int | int32](n int, lists [][]Edge) (off, arena []T) {
+	if n < 0 {
+		panic("graph: negative node count")
+	}
+	off = make([]T, n+1)
+	for _, es := range lists {
+		for _, e := range es {
+			checkIndex(e.U, n)
+			checkIndex(e.V, n)
+			off[e.U+1]++
+			off[e.V+1]++
 		}
 	}
-	arena := make([]int, total)
-	g := &Graph{adj: make([][]int, len(deg))}
-	off := 0
-	for u, d := range deg {
-		if d <= 0 {
-			continue
+	for u := 1; u <= n; u++ {
+		off[u] += off[u-1]
+	}
+	// off[u] is row u's start. The fill advances it as u's cursor until it
+	// reaches row u+1's start, so shifting off by one restores the offsets.
+	arena = make([]T, off[n])
+	for _, es := range lists {
+		for _, e := range es {
+			arena[off[e.U]] = T(e.V)
+			off[e.U]++
+			arena[off[e.V]] = T(e.U)
+			off[e.V]++
 		}
-		g.adj[u] = arena[off : off : off+d]
-		off += d
+	}
+	copy(off[1:], off[:n])
+	off[0] = 0
+	return off, arena
+}
+
+// fromArena returns the graph whose row u is arena[off[u]:off[u+1]]. Each
+// row's capacity ends where the row does, so a later AddEdge reallocates
+// the row instead of writing into the next one; an empty row stays nil, as
+// in New.
+func fromArena(off, arena []int) *Graph {
+	g := &Graph{adj: make([][]int, len(off)-1), m: len(arena) / 2}
+	for u := range g.adj {
+		if lo, hi := off[u], off[u+1]; lo < hi {
+			g.adj[u] = arena[lo:hi:hi]
+		}
 	}
 	return g
 }
@@ -255,9 +289,11 @@ func (g *Graph) SortAdjacency() {
 	}
 }
 
-func (g *Graph) checkNode(u int) {
-	if u < 0 || u >= len(g.adj) {
-		panic(fmt.Sprintf("graph: node %d out of range [0,%d)", u, len(g.adj)))
+func (g *Graph) checkNode(u int) { checkIndex(u, len(g.adj)) }
+
+func checkIndex(u, n int) {
+	if u < 0 || u >= n {
+		panic(fmt.Sprintf("graph: node %d out of range [0,%d)", u, n))
 	}
 }
 

@@ -12,22 +12,14 @@ import (
 // ReadEdgeList parses a whitespace-separated edge list ("u v" per line).
 // Lines starting with '#' or '%' are comments. Node labels may be arbitrary
 // non-negative integers; they are relabeled densely in order of first
-// appearance. Returns the graph and the mapping newID -> original label.
+// appearance. A negative label is an error. Returns the graph and the
+// mapping newID -> original label.
 func ReadEdgeList(r io.Reader) (*Graph, []int, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	g := New(0)
 	idx := make(map[int]int)
 	var labels []int
-	intern := func(label int) int {
-		if id, ok := idx[label]; ok {
-			return id
-		}
-		id := g.AddNode()
-		idx[label] = id
-		labels = append(labels, label)
-		return id
-	}
+	var edges []Edge
 	line := 0
 	for sc.Scan() {
 		line++
@@ -39,20 +31,29 @@ func ReadEdgeList(r io.Reader) (*Graph, []int, error) {
 		if len(fields) < 2 {
 			return nil, nil, fmt.Errorf("graph: line %d: want two fields, got %q", line, t)
 		}
-		u, err := strconv.Atoi(fields[0])
-		if err != nil {
-			return nil, nil, fmt.Errorf("graph: line %d: %v", line, err)
+		var ends [2]int
+		for i, f := range fields[:2] {
+			label, err := strconv.Atoi(f)
+			if err != nil {
+				return nil, nil, fmt.Errorf("graph: line %d: %v", line, err)
+			}
+			if label < 0 {
+				return nil, nil, fmt.Errorf("graph: line %d: negative node label %d", line, label)
+			}
+			id, ok := idx[label]
+			if !ok {
+				id = len(labels)
+				idx[label] = id
+				labels = append(labels, label)
+			}
+			ends[i] = id
 		}
-		v, err := strconv.Atoi(fields[1])
-		if err != nil {
-			return nil, nil, fmt.Errorf("graph: line %d: %v", line, err)
-		}
-		g.AddEdge(intern(u), intern(v))
+		edges = append(edges, Edge{ends[0], ends[1]})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, nil, err
 	}
-	return g, labels, nil
+	return FromEdgeLists(len(labels), edges), labels, nil
 }
 
 // WriteEdgeList writes the graph as "u v" lines (U <= V, sorted).

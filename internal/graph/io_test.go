@@ -41,6 +41,11 @@ func TestReadEdgeListErrors(t *testing.T) {
 	if _, _, err := ReadEdgeList(strings.NewReader("a b\n")); err == nil {
 		t.Error("want error for non-integer")
 	}
+	for _, in := range []string{"# c\n-1 2\n2 -7\n", "0 1\n1 -7\n"} {
+		if _, _, err := ReadEdgeList(strings.NewReader(in)); err == nil || !strings.Contains(err.Error(), "line 2: negative node label") {
+			t.Errorf("%q: err = %v, want a line-2 negative-label error", in, err)
+		}
+	}
 }
 
 func TestWriteReadRoundTrip(t *testing.T) {

@@ -36,7 +36,11 @@ func (g *Graph) JointDegreeMatrix() map[[2]int]int {
 // using the paper's multiplicity-aware definition
 // t_i = sum_{j<l, j!=i, l!=i} A_ij * A_il * A_jl. Self-loops never form
 // triangles under this definition.
-func (g *Graph) TriangleCounts() []int64 {
+func (g *Graph) TriangleCounts() []int64 { return g.CSR().TriangleCounts() }
+
+// TriangleCounts returns the snapshot's per-node triangle counts, as
+// Graph.TriangleCounts defines them.
+func (c *CSR) TriangleCounts() []int64 {
 	// Mark-and-probe over the sorted distinct CSR rows: every adjacent
 	// pair u < v contributes A_uv * A_uw * A_vw to t[w] for each common
 	// neighbor w — exactly t[w]'s sum over unordered pairs of w's distinct
@@ -44,7 +48,6 @@ func (g *Graph) TriangleCounts() []int64 {
 	// once, then each higher-numbered neighbor row is probed against the
 	// stamps. The counts are exact integers, so the visiting order never
 	// shows in the result.
-	c := g.CSR()
 	t := make([]int64, c.n)
 	mark := make([]int64, c.n)
 	for u := range t {

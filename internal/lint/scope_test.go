@@ -15,6 +15,7 @@ func TestScopeRules(t *testing.T) {
 		// The pipeline path is covered, tests included.
 		{"maprange", "sgr/internal/dkseries", "rewire.go", true},
 		{"maprange", "sgr/internal/dkseries", "rewire_serialref_test.go", true},
+		{"maprange", "sgr/internal/core", "buildref_test.go", true},
 		{"maprange", "sgr/internal/estimate", "labelref_test.go", true},
 		{"maprange", "sgr/internal/props", "csrdiff_test.go", true},
 		{"maprange", "sgr/internal/sampling", "walks.go", true},

@@ -12,6 +12,10 @@ import "sgr/internal/graph"
 type Subgraph struct {
 	// Graph is the relabeled induced subgraph.
 	Graph *graph.Graph
+	// Edges lists Graph's edges in the order Graph was built from them:
+	// graph.FromEdgeLists(len(Nodes), Edges) rebuilds Graph row for row.
+	// It must not be modified.
+	Edges []graph.Edge
 	// Nodes maps relabeled ID -> original ID. Queried nodes come first, in
 	// first-query order, followed by visible nodes in ascending original ID.
 	// It is the crawl's node table (Crawl.Nodes) and must not be modified.
@@ -31,20 +35,36 @@ func (s *Subgraph) IsQueried(u int) bool { return u < s.NumQueried }
 // in this work are simple, so E' is a set of simple edges.
 func BuildSubgraph(c *Crawl) *Subgraph {
 	l := c.label()
-	g := graph.New(len(l.nodes))
-	// While row i is scanned, mark[v] == i+1 says edge {i, v} is in g.
+	nq := int32(len(c.queried))
+	// Row i skips the pairs {j, i} that an earlier row j added. Those edges
+	// are chained per i: last[i] is 1 + the index in edges of the latest,
+	// link[e] that of the one added before edge e.
+	last := make([]int32, nq)
+	edges := make([]graph.Edge, 0, len(l.adj))
+	link := make([]int32, 0, len(l.adj))
+	// While row i is scanned, mark[v] == i+1 says edge {i, v} is in edges.
 	mark := make([]int32, len(l.nodes))
-	for i := range c.queried {
-		stamp := int32(i + 1)
-		for _, v := range g.Neighbors(i) { // edges from earlier rows
-			mark[v] = stamp
+	for i := int32(0); i < nq; i++ {
+		stamp := i + 1
+		for e := last[i]; e != 0; e = link[e-1] {
+			mark[edges[e-1].U] = stamp
 		}
 		for _, v := range l.adj[l.off[i]:l.off[i+1]] {
-			if mark[v] != stamp {
-				mark[v] = stamp
-				g.AddEdge(i, int(v))
+			if mark[v] == stamp {
+				continue
+			}
+			mark[v] = stamp
+			edges = append(edges, graph.Edge{U: int(i), V: int(v)})
+			link = append(link, 0)
+			if i < v && v < nq {
+				link[len(link)-1], last[v] = last[v], int32(len(edges))
 			}
 		}
 	}
-	return &Subgraph{Graph: g, Nodes: l.nodes, NumQueried: len(c.queried)}
+	return &Subgraph{
+		Graph:      graph.FromEdgeLists(len(l.nodes), edges),
+		Edges:      edges,
+		Nodes:      l.nodes,
+		NumQueried: len(c.queried),
+	}
 }

@@ -13,10 +13,10 @@
 # below is timed against a frozen reference that runs in the same
 # `go test` process (the ComputeAll*/Brandes references right after their
 # production benchmark, Rewire/adjset right before sharded1,
-# RestoreSpans/mapref right after dense), so both see the same host. Its
-# fresh
-# ratio is the median over runs of production ns/op / reference ns/op;
-# the committed ratio is the same median over COMMITTED.json's runs. A pair whose fresh ratio
+# RestoreSpans/mapref right after dense, RestorePhases/addedge right after
+# counted), so both see the same host. Its fresh ratio is the median over
+# runs of production ns/op / reference ns/op; the committed ratio is the
+# same median over COMMITTED.json's runs. A pair whose fresh ratio
 # exceeds the committed one by more than MAX_REGRESSION_PCT (default 20)
 # fails the gate. Absolute ns/op moves with the host (a shared VM runs
 # 1.5-2x slower in stretches), so every other benchmark in both files is
@@ -32,7 +32,8 @@ PAIRS='BenchmarkComputeAllExact BenchmarkComputeAllExactRef
 BenchmarkComputeAllPivot BenchmarkComputeAllPivotRef
 BenchmarkBrandesAllSources BenchmarkBrandesAllSourcesRef
 BenchmarkRewire/sharded1 BenchmarkRewire/adjset
-BenchmarkRestoreSpans/dense BenchmarkRestoreSpans/mapref'
+BenchmarkRestoreSpans/dense BenchmarkRestoreSpans/mapref
+BenchmarkRestorePhases/counted BenchmarkRestorePhases/addedge'
 
 if [ $# -lt 2 ] || [ $# -gt 3 ]; then
   echo "usage: $0 COMMITTED.json FRESH.json [MAX_REGRESSION_PCT]" >&2
