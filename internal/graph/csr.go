@@ -79,7 +79,7 @@ func (g *Graph) buildCSR() *CSR {
 		}
 		endOff[u+1] = int32(len(endpoints))
 	}
-	return newCSR(g.m, endOff, endpoints)
+	return newCSR(endOff, endpoints)
 }
 
 // CSRFromEdgeLists returns the snapshot FromEdgeLists(n, lists...).CSR()
@@ -92,7 +92,7 @@ func CSRFromEdgeLists(n int, lists ...[]Edge) *CSR {
 	}
 	checkCSRSize(n, ends)
 	endOff, endpoints := edgeRows[int32](n, lists)
-	return newCSR(ends/2, endOff, endpoints)
+	return newCSR(endOff, endpoints)
 }
 
 func checkCSRSize(n, ends int) {
@@ -106,11 +106,11 @@ func checkCSRSize(n, ends int) {
 // per-row sort, because scanning source nodes v in ascending order and
 // appending v to each neighbor's row produces ascending rows with
 // duplicate endpoints adjacent, so multiplicities compress on the fly.
-func newCSR(m int, endOff, endpoints []int32) *CSR {
+func newCSR(endOff, endpoints []int32) *CSR {
 	n := len(endOff) - 1
 	c := &CSR{
 		n:         n,
-		m:         m,
+		m:         len(endpoints) / 2,
 		endOff:    endOff,
 		endpoints: endpoints,
 		off:       make([]int32, n+1),

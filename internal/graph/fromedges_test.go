@@ -93,28 +93,15 @@ func TestFromEdgeListsMatchesAddEdge(t *testing.T) {
 		{3, [][]Edge{{{2, 0}, {0, 2}}, {{0, 2}, {2, 2}, {2, 0}}}},                 // multi-edges across lists
 		{6, [][]Edge{{{5, 0}, {3, 4}, {0, 5}}, {{4, 3}, {1, 1}}, nil, {{0, 1}}}},  // mixed, node 2 isolated
 		{5, [][]Edge{{{0, 1}, {0, 2}, {0, 3}, {0, 4}}, {{4, 0}, {3, 0}, {2, 0}}}}, // row order follows edge order
+		{0, [][]Edge{{{0, 0}}}}, // out of range: panics
+		{2, [][]Edge{{{0, 1}}, {{1, 2}}}},
+		{2, [][]Edge{{{-1, 0}}}},
 	}
 	for _, c := range cases {
 		checkFromEdgeLists(t, c.n, c.lists)
 	}
-}
-
-func TestFromEdgeListsPanicsLikeAddEdge(t *testing.T) {
-	for _, c := range []struct {
-		n     int
-		lists [][]Edge
-	}{
-		{0, [][]Edge{{{0, 0}}}},
-		{2, [][]Edge{{{0, 1}}, {{1, 2}}}},
-		{2, [][]Edge{{{-1, 0}}}},
-	} {
-		checkFromEdgeLists(t, c.n, c.lists)
-		if panicOf(func() { FromEdgeLists(c.n, c.lists...) }) == nil {
-			t.Fatalf("n=%d %v: no panic", c.n, c.lists)
-		}
-	}
 	if fmt.Sprint(panicOf(func() { FromEdgeLists(-1) })) != fmt.Sprint(panicOf(func() { New(-1) })) {
-		t.Fatal("negative node count must panic as New does")
+		t.Fatal("a negative node count must panic as New does")
 	}
 }
 
