@@ -34,21 +34,22 @@ func nodeCount(fixed, cands []graph.Edge) int {
 	return n
 }
 
-// TestRewireShardedWorkerInvariance is the acceptance guard of the
-// parallel engine: stats (including float bits), the output graph and the
-// final candidate endpoints must be byte-identical at every worker count.
-// Run under -race this also exercises the propose-phase concurrency.
-func TestRewireShardedWorkerInvariance(t *testing.T) {
+// TestRewireShardedDigest pins RewireSharded's bytes on the randomized
+// differential inputs: every RewireStats field (the L1 distances by their
+// float bits), the output graph and the final candidate endpoints, through
+// rewireDigest, for seeds 1-4 with and without ForbidDegenerate. The
+// digests were recorded while worker counts 1, 2 and 8 all produced them.
+func TestRewireShardedDigest(t *testing.T) {
+	want := [4][2]string{ // [seed-1][forbid]
+		{"f91e9bbe16bf2c7f266b08a5377c3cbf244939e65c56ec89535d0d1b2cdbbbd8", "ddf513a792caa00ff0bde3789d73d3781e79bd72322e301aae200a00fe470bc5"},
+		{"d89429ba2b4649a0f36ce891b07ca79d264806cf8c038772acd9d285d5a2329f", "a83ffcd29ac8c271c1ccd1b17a2afeaf21520c43788cb76a8841dc16980a2e10"},
+		{"7a07b2485bc7f68df6459a224d8195665df550ce8f847cc157cc153c90c2dea6", "4782146aa7e8a58d1d3852b23e3c4fae090f57c8b8c9d59aa386021c40e3a4ca"},
+		{"1dc110e67a55933c29e7f6da8ec6b0cef7e8f57c34015e4653f893c3c02dc540", "b69efcb733ad86353c6b7f5ba12d0f26c1b038cf7f562b82baec033ae44dcf71"},
+	}
 	for seed := uint64(1); seed <= 4; seed++ {
 		fixed, cands, target := shardedInput(seed, 120+int(seed)*40)
 		n := nodeCount(fixed, cands)
-		for _, forbid := range []bool{false, true} {
-			type out struct {
-				g     *graph.Graph
-				st    RewireStats
-				cands []graph.Edge
-			}
-			var ref *out
+		for fi, forbid := range []bool{false, true} {
 			for _, workers := range []int{1, 2, 8} {
 				cc := append([]graph.Edge(nil), cands...)
 				g, st := RewireSharded(n, fixed, cc, ShardedRewireOptions{
@@ -59,29 +60,12 @@ func TestRewireShardedWorkerInvariance(t *testing.T) {
 					ForbidDegenerate: forbid,
 					Workers:          workers,
 				})
-				cur := &out{g, st, cc}
-				if ref == nil {
-					ref = cur
-					if st.Accepted == 0 {
-						t.Errorf("seed %d forbid=%v: sharded rewiring accepted nothing — weak input", seed, forbid)
-					}
-					continue
+				if st.Accepted == 0 {
+					t.Errorf("seed %d forbid=%v: sharded rewiring accepted nothing — weak input", seed, forbid)
 				}
-				if cur.st != ref.st {
-					t.Fatalf("seed %d forbid=%v workers=%d: stats diverge: %+v vs %+v",
-						seed, forbid, workers, cur.st, ref.st)
-				}
-				if math.Float64bits(cur.st.FinalL1) != math.Float64bits(ref.st.FinalL1) {
-					t.Fatalf("seed %d forbid=%v workers=%d: FinalL1 bits diverge", seed, forbid, workers)
-				}
-				if !graph.Equal(cur.g, ref.g) {
-					t.Fatalf("seed %d forbid=%v workers=%d: output graphs diverge", seed, forbid, workers)
-				}
-				for i := range cur.cands {
-					if cur.cands[i] != ref.cands[i] {
-						t.Fatalf("seed %d forbid=%v workers=%d: candidate %d endpoints diverge",
-							seed, forbid, workers, i)
-					}
+				if got := rewireDigest(g, cc, st); got != want[seed-1][fi] {
+					t.Errorf("seed %d forbid=%v workers=%d: digest %s, want %s (stats %+v)",
+						seed, forbid, workers, got, want[seed-1][fi], st)
 				}
 			}
 		}
