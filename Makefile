@@ -52,7 +52,7 @@ define record-bench
 endef
 
 # Pipeline perf baseline: BenchmarkRewire (the frozen serial adjset
-# reference, and the sharded engine at 1 and 8 workers),
+# reference, and the sharded engine as sharded1),
 # BenchmarkRestoreEndToEnd, BenchmarkRestoreSpans (a parsed crawl
 # through the estimate and subgraph spans, next to the frozen map-based
 # path) and BenchmarkRestorePhases (the subgraph, phases 1-3 and the

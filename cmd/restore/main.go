@@ -45,8 +45,6 @@ func main() {
 		compare  = flag.Bool("compare", true, "compute the 12-property L1 comparison")
 		workers  = flag.Int("workers", parallel.DefaultWorkers(),
 			"worker bound for the Brandes pass of -compare's property computation (results are bit-identical at any value)")
-		rewireWorkers = flag.Int("rewire-workers", parallel.DefaultWorkers(),
-			"worker bound for the phase-4 rewiring propose loop (output is byte-identical at any value)")
 		traceOut = flag.String("trace", "", "write the pipeline timeline here in Chrome trace_event JSON (chrome://tracing, ui.perfetto.dev)")
 		pf       = prof.AddFlags()
 	)
@@ -129,7 +127,7 @@ func main() {
 	if *traceOut != "" {
 		tr = obs.NewTrace("restore")
 	}
-	opts := core.Options{RC: *rc, RewireWorkers: *rewireWorkers, Trace: tr, Rand: r}
+	opts := core.Options{RC: *rc, Trace: tr, Rand: r}
 	var res *core.Result
 	switch *method {
 	case "proposed":

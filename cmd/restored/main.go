@@ -43,19 +43,20 @@ func main() {
 		queue    = flag.Int("queue", 64, "bounded job-queue depth (full queue answers 429 + Retry-After)")
 		cacheDir = flag.String("cache-dir", "", "persist the content-addressed result cache and the job WAL here")
 		propsW   = flag.Int("props-workers", 1, "worker bound for /props property computation (bounds CPU; the bytes are the same at any value)")
-		rewireW  = flag.Int("rewire-workers", 1, "per-job worker bound for phase-4 rewiring (output is byte-identical at any value)")
 		drain    = flag.Duration("drain", daemon.DefaultDrainTimeout, "graceful-drain window for in-flight requests on shutdown")
 		pprofOn  = flag.Bool("pprof", false, "mount net/http/pprof under /debug/pprof/ (live-profiling opt-in)")
 	)
+	// Deprecated and never read: phase-4 rewiring runs on the job's
+	// goroutine. The flag is still accepted so existing command lines parse.
+	flag.Int("rewire-workers", 1, "ignored; phase-4 rewiring runs on one goroutine per job")
 	flag.Parse()
 
 	svc, err := restored.New(restored.Config{
-		Workers:       *workers,
-		QueueDepth:    *queue,
-		CacheDir:      *cacheDir,
-		PropsWorkers:  *propsW,
-		RewireWorkers: *rewireW,
-		Logf:          log.Printf,
+		Workers:      *workers,
+		QueueDepth:   *queue,
+		CacheDir:     *cacheDir,
+		PropsWorkers: *propsW,
+		Logf:         log.Printf,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -64,27 +64,18 @@
 // "Adjacency forms").
 //
 // Phase-4 rewiring — the pipeline's hot path — runs on the sharded
-// parallel engine of dkseries.RewireSharded: the candidate half-edge
-// space is partitioned by degree bucket into a fixed number of shards,
-// each shard proposes swaps from its own PCG sub-stream
-// (sampling.SubStream) and evaluates their exact clustering deltas
-// read-only against sorted neighbor rows, and accepted swaps are merged
-// serially in a fixed shard order. The parallelism model is
-// propose-in-parallel, commit-in-order, and it carries a worker-count
-// invariance guarantee: the restored graph is a deterministic function of
-// (input, seed, shard count, round size) and is byte-identical at any
-// worker setting — core.Options.RewireWorkers, -rewire-workers on
-// cmd/restore and cmd/restored, and harness.Config.RewireWorkers buy wall
-// clock only. That is what lets restored exclude the knob from its job
-// content address (differently configured daemons share cache lines) and
-// lets the bench gate (`make bench-gate`, scripts/bench_gate.sh) compare
-// production-to-reference ratios across machines with different core
-// counts. The
-// rewiring trajectory differs from that of Algorithm 6's serial loop (kept
-// as a frozen test reference) — the two share state and accept semantics,
-// not proposal sequences — and is pinned by worker-invariance, output
-// digest and differential white-box tests in internal/dkseries; see
-// ARCHITECTURE.md for the full determinism-contract inventory.
+// round engine of dkseries.RewireSharded: the candidate half-edge space
+// is partitioned by degree bucket into a fixed number of shards, each
+// shard proposes swaps from its own PCG sub-stream (sampling.SubStream)
+// and evaluates their exact clustering deltas read-only against sorted
+// neighbor rows, and accepted swaps are committed in a fixed shard order,
+// all on the calling goroutine. The restored graph is a deterministic
+// function of (input, seed, shard count, round size). The rewiring
+// trajectory differs from that of Algorithm 6's serial loop (kept as a
+// frozen test reference) — the two share state and accept semantics, not
+// proposal sequences — and is pinned by output digest and differential
+// white-box tests in internal/dkseries; see ARCHITECTURE.md for the full
+// determinism-contract inventory.
 //
 // Restoration itself is also served as a service: internal/restored plus
 // cmd/restored run the whole crawl → dK-series → rewiring pipeline behind

@@ -210,7 +210,6 @@ func runPhases(c *sampling.Crawl, est *estimate.Estimates, seed uint64, frozen b
 	} else {
 		o.out, _ = dkseries.RewireSharded(n, fixed, built.Added, dkseries.ShardedRewireOptions{
 			TargetClustering: est.Clustering,
-			Workers:          1,
 		})
 	}
 	return o, nil

@@ -34,18 +34,16 @@ type Options struct {
 	// self-loops or parallel edges, steering the output toward a simple
 	// graph (extension; the paper's model permits both).
 	ForbidDegenerate bool
-	// RewireWorkers bounds the propose-phase parallelism of phase 4's
-	// sharded rewiring engine (<= 0 selects parallel.DefaultWorkers).
-	// The restored graph is byte-identical at any value — the knob buys
-	// wall clock only — which is why the restored daemon may exclude it
-	// from its job content address.
+	// RewireWorkers is ignored: phase 4 runs on the calling goroutine.
+	//
+	// Deprecated: ignored. It remains only so existing callers compile.
 	RewireWorkers int
 	// Trace, when set, receives one span per pipeline phase (estimate,
 	// subgraph, phase1_degree_vector, phase2_jdm, phase3_construct,
 	// phase4_rewire) plus the rewiring engine's aggregate propose/commit
 	// round timers. Observability only: spans read the monotonic clock and
 	// nothing else, so the restored graph is byte-identical with and
-	// without one — the same wall-clock-only contract as RewireWorkers.
+	// without one.
 	// Result's times are read off these spans; without a Trace the run
 	// records its phase spans into a private one.
 	Trace *obs.Trace
@@ -301,10 +299,8 @@ func runWith(c *sampling.Crawl, est *estimate.Estimates, opts Options, useSubgra
 				fixed = sub.Graph.Edges()
 			}
 			// Two draws from the pipeline stream seed the sharded engine's
-			// per-shard sub-streams. The engine's output is a function of the
-			// seeds alone — never of RewireWorkers — so the pipeline remains a
-			// deterministic function of Options.Rand's stream at any worker
-			// count.
+			// per-shard sub-streams, so the pipeline remains a deterministic
+			// function of Options.Rand's stream.
 			seed1, seed2 := opts.Rand.Uint64(), opts.Rand.Uint64()
 			res.Graph, res.RewireStats = dkseries.RewireSharded(built.Graph.N(), fixed, built.Added, dkseries.ShardedRewireOptions{
 				TargetClustering: est.Clustering,
@@ -312,7 +308,6 @@ func runWith(c *sampling.Crawl, est *estimate.Estimates, opts Options, useSubgra
 				Seed1:            seed1,
 				Seed2:            seed2,
 				ForbidDegenerate: opts.ForbidDegenerate,
-				Workers:          opts.RewireWorkers,
 				Trace:            engineTrace,
 				Ctx:              opts.Ctx,
 			})

@@ -86,14 +86,26 @@ func Build(base []graph.Edge, baseTargetDeg []int, dv DegreeVector, jdm *JDM, r 
 
 	// Free half-edges per degree class (lines 9-12): base nodes contribute
 	// target - current, added nodes contribute their whole target degree.
-	halves := make([][]int, kmax+1)
-	for u := 0; u < nTotal; u++ {
-		free := res.TargetDeg[u]
+	// Every class is carved from one arena, sized by a counting pass.
+	free := func(u int) int {
 		if u < nBase {
-			free -= baseDeg[u]
+			return res.TargetDeg[u] - baseDeg[u]
 		}
-		k := res.TargetDeg[u]
-		for i := 0; i < free; i++ {
+		return res.TargetDeg[u]
+	}
+	size := make([]int, kmax+1)
+	total := 0
+	for u, k := range res.TargetDeg {
+		size[k] += free(u)
+		total += free(u)
+	}
+	arena := make([]int, total)
+	halves := make([][]int, kmax+1)
+	for k, c := range size {
+		halves[k], arena = arena[:0:c], arena[c:]
+	}
+	for u, k := range res.TargetDeg {
+		for range free(u) {
 			halves[k] = append(halves[k], u)
 		}
 	}

@@ -68,10 +68,10 @@ func TestEnginesRefuseBadRC(t *testing.T) {
 	target := props.DegreeClustering(g)
 	for _, tc := range badRCs {
 		mustPanic(t, "RewireSharded "+tc.name, func() {
-			RewireSharded(g.N(), nil, g.Edges(), ShardedRewireOptions{TargetClustering: target, RC: tc.rc, Workers: 1})
+			RewireSharded(g.N(), nil, g.Edges(), ShardedRewireOptions{TargetClustering: target, RC: tc.rc})
 		})
 		mustPanic(t, "RewireSharded no candidates "+tc.name, func() {
-			RewireSharded(g.N(), g.Edges(), nil, ShardedRewireOptions{TargetClustering: target, RC: tc.rc, Workers: 1})
+			RewireSharded(g.N(), g.Edges(), nil, ShardedRewireOptions{TargetClustering: target, RC: tc.rc})
 		})
 		if _, _, err := DK25(g, tc.rc, rng(42)); err == nil || !strings.Contains(err.Error(), "rc") {
 			t.Errorf("DK25 %s: err = %v, want an rc range error", tc.name, err)

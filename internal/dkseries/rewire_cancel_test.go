@@ -22,7 +22,6 @@ func TestRewireShardedContext(t *testing.T) {
 			RC:               6,
 			Seed1:            5,
 			Seed2:            5 ^ 0xabcdef,
-			Workers:          2,
 			Ctx:              ctx,
 		})
 		return g, st, cc

@@ -38,8 +38,7 @@ func rewireDigest(g *graph.Graph, cands []graph.Edge, st RewireStats) string {
 }
 
 // TestRewireShardedLargeGraphDigest pins RewireSharded's bytes on a graph
-// just past 2^15 nodes, with and without ForbidDegenerate, at two worker
-// counts. The digests were recorded while graphs of this size still ran a
+// just past 2^15 nodes, with and without ForbidDegenerate. The digests were recorded while graphs of this size still ran a
 // separate merge-walk evaluator behind a Bloom fast-reject; the dense
 // evaluator that now serves every size must reproduce them exactly.
 func TestRewireShardedLargeGraphDigest(t *testing.T) {
@@ -55,22 +54,19 @@ func TestRewireShardedLargeGraphDigest(t *testing.T) {
 		{false, "781b3e989d84b35fbc668973d7cd93e7d99fe16c49853a50e636d424a4cbb4e2"},
 		{true, "d11fa782751fbda69fa203a081365cae6404d2819339da0ce1767b41b1bd20ce"},
 	} {
-		for _, workers := range []int{1, 3} {
-			cc := append([]graph.Edge(nil), cands...)
-			g, st := RewireSharded(n, fixed, cc, ShardedRewireOptions{
-				TargetClustering: target,
-				RC:               2,
-				Seed1:            17,
-				Seed2:            0x5eed,
-				ForbidDegenerate: tc.forbid,
-				Workers:          workers,
-			})
-			if st.Accepted == 0 {
-				t.Errorf("forbid=%v workers=%d: accepted nothing — weak input", tc.forbid, workers)
-			}
-			if got := rewireDigest(g, cc, st); got != tc.want {
-				t.Errorf("forbid=%v workers=%d: digest %s, want %s (stats %+v)", tc.forbid, workers, got, tc.want, st)
-			}
+		cc := append([]graph.Edge(nil), cands...)
+		g, st := RewireSharded(n, fixed, cc, ShardedRewireOptions{
+			TargetClustering: target,
+			RC:               2,
+			Seed1:            17,
+			Seed2:            0x5eed,
+			ForbidDegenerate: tc.forbid,
+		})
+		if st.Accepted == 0 {
+			t.Errorf("forbid=%v: accepted nothing — weak input", tc.forbid)
+		}
+		if got := rewireDigest(g, cc, st); got != tc.want {
+			t.Errorf("forbid=%v: digest %s, want %s (stats %+v)", tc.forbid, got, tc.want, st)
 		}
 	}
 }

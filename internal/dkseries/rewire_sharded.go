@@ -7,18 +7,17 @@ import (
 
 	"sgr/internal/graph"
 	"sgr/internal/obs"
-	"sgr/internal/parallel"
 	"sgr/internal/sampling"
 )
 
-// This file implements Algorithm 6 as deterministic parallel rounds.
-// Algorithm 6 as written mutates the adjacency on every attempt and
-// reverts on rejection — correct, but inherently sequential and twice as
-// expensive as necessary on the ~97% of attempts that are rejected (that
-// serial loop survives as the test reference in rewire_serialref_test.go).
-// RewireSharded restructures the loop into rounds:
+// This file implements Algorithm 6 as deterministic rounds. Algorithm 6
+// as written mutates the adjacency on every attempt and reverts on
+// rejection — correct, but twice as expensive as necessary on the ~97% of
+// attempts that are rejected (that serial loop survives as the test
+// reference in rewire_serialref_test.go). RewireSharded restructures it
+// into rounds:
 //
-//  1. Propose (parallel, read-only). The candidate half-edge space is
+//  1. Propose (read-only). The candidate half-edge space is
 //     partitioned by degree bucket into a fixed number of shards. Each
 //     shard draws a quota of swap proposals from its own PCG sub-stream
 //     (sampling.SubStream) and evaluates the exact triangle-count delta
@@ -32,9 +31,8 @@ import (
 //     so one mark-and-probe pass over the four neighbor rows (sortedRows)
 //     yields every delta, while the handful of endpoint-internal
 //     contributions go through a 4x4 overlay matrix that replays the
-//     serial op order exactly. Shards write disjoint buffers, so any
-//     number of workers may execute them.
-//  2. Commit (serial, fixed order). Proposals are applied in a fixed
+//     serial op order exactly.
+//  2. Commit (fixed order). Proposals are applied in a fixed
 //     interleaved shard order. A proposal whose four endpoints are
 //     untouched by earlier commits of the same round reuses its
 //     precomputed per-degree delta verbatim (degrees are invariant, so
@@ -43,27 +41,27 @@ import (
 //     cost one pass over a handful of per-degree deltas and mutate
 //     nothing.
 //
-// Because shard decomposition, sub-stream seeding, quota allocation and
-// commit order are all functions of (input, Seed1, Seed2, shard count,
-// round size) — never of scheduling — the output graph, the final
-// candidate endpoints and every RewireStats field are byte-identical at
-// any Workers value, including 1. Workers is a wall-clock knob only.
+// Both phases run on the calling goroutine. A round's shard jobs take
+// microseconds each: a pool of propose workers, measured on a 2-core
+// host, ran propose no faster at 2 workers than at 1, so there is none.
 //
-// What DOES change the bytes: Seed1/Seed2 (by design), the shard count
-// and the round size (they define the proposal sequence). Both are fixed
-// constants, DefaultRewireShards and DefaultRewireRoundSize, and as
-// frozen as the accept rule.
+// The output graph, the final candidate endpoints and every RewireStats
+// field are functions of (input, Seed1, Seed2, shard count, round size):
+// the shards, their sub-streams, the quota allocation and the commit
+// order define the proposal sequence. The shard count and the round size
+// are fixed constants, DefaultRewireShards and DefaultRewireRoundSize,
+// and as frozen as the accept rule.
 
 // DefaultRewireShards is the default shard count of RewireSharded: the
 // number of independent proposal streams the degree-bucket space is
-// partitioned into. It bounds useful parallelism and is part of the
-// output contract — changing it re-keys every seeded result.
+// partitioned into. It is part of the output contract — changing it
+// re-keys every seeded result.
 const DefaultRewireShards = 16
 
 // DefaultRewireRoundSize is the default number of proposals evaluated per
-// round across all shards. Larger rounds amortize the propose/commit
-// barrier but raise the chance a proposal conflicts with an earlier
-// commit of the same round (forcing a serial re-evaluation). Part of the
+// round across all shards. Larger rounds amortize the per-round quota
+// allocation but raise the chance a proposal conflicts with an earlier
+// commit of the same round (forcing a re-evaluation at commit). Part of the
 // output contract, like DefaultRewireShards.
 const DefaultRewireRoundSize = 256
 
@@ -84,14 +82,9 @@ type ShardedRewireOptions struct {
 	// parallel edge, steering the output toward a simple graph (a 2K+
 	// style extension; the paper's model permits both).
 	ForbidDegenerate bool
-	// Workers bounds how many shards evaluate concurrently during the
-	// propose phase. <= 0 selects parallel.DefaultWorkers. Workers never
-	// affects the output, only the wall clock.
-	Workers int
 	// Trace, when set, receives two aggregate timers — "rewire/propose"
 	// and "rewire/commit" — accumulating the per-round phase split across
-	// every round of the run. Like Workers it is wall-clock-only: the
-	// timers read the monotonic clock and nothing else, so the output
+	// every round of the run. It is wall-clock-only: the timers read the monotonic clock and nothing else, so the output
 	// graph and RewireStats are byte-identical with and without one.
 	Trace *obs.Trace
 	// Ctx, when set, is polled non-blockingly at the top of every
@@ -133,7 +126,7 @@ func orDefault(v, def int) int {
 // The returned graph is built from fixed plus the rewired candidates, edges
 // in that order.
 // The result is a deterministic function of the inputs and (Seed1, Seed2)
-// — identical at any worker count (see the file comment).
+// (see the file comment).
 func RewireSharded(n int, fixed []graph.Edge, candidates []graph.Edge, opts ShardedRewireOptions) (*graph.Graph, RewireStats) {
 	total := AttemptBudget(opts.RC, len(candidates))
 	st, rows := newShardedState(n, fixed, candidates, opts.TargetClustering)
@@ -148,8 +141,8 @@ func RewireSharded(n int, fixed []graph.Edge, candidates []graph.Edge, opts Shar
 
 // sortedRows is the rewiring adjacency as per-node sorted neighbor rows
 // with a parallel multiplicity array, both carved from flat arenas. The
-// propose phase reads it concurrently (linear row scans and sorted-row
-// probes, no hashing); only commit-phase accepts mutate it — a few
+// propose phase only reads it (linear row scans and sorted-row probes, no
+// hashing); only commit-phase accepts mutate it — a few
 // ordered memmoves per accepted swap. Row capacity is deg[u]: a node's
 // distinct-neighbor count can never exceed its degree.
 type sortedRows struct {
@@ -216,7 +209,19 @@ func newShardedState(n int, fixed, candidates []graph.Edge, target map[int]float
 	}
 
 	st.ends = append([]graph.Edge(nil), candidates...)
+	// A committed swap takes one half out of each of two buckets before
+	// it places one in each, so bucket sizes never change: every bucket is
+	// carved from one arena with its capacity capped at its count.
+	size := make([]int, kmax+1)
+	for _, e := range st.ends {
+		size[st.deg[e.U]]++
+		size[st.deg[e.V]]++
+	}
+	arena := make([]halfRef, 2*len(st.ends))
 	st.buckets = make([][]halfRef, kmax+1)
+	for k, c := range size {
+		st.buckets[k], arena = arena[:0:c], arena[c:]
+	}
 	st.pos = make([][2]int, len(candidates))
 	for i, e := range st.ends {
 		st.placeHalf(halfRef{i, 0}, st.deg[e.U])
@@ -349,8 +354,8 @@ type vmark struct {
 // markSet is the evaluator's per-node mark array — one entry per node,
 // epoch-stamped so no clearing is needed between evaluations — plus the
 // list collecting U-side hits. At 12 bytes per node it is the engine's
-// only O(n) evaluation scratch, so sets are pooled per concurrently
-// running evaluation, not kept per shard.
+// only O(n) evaluation scratch; a run owns one, which every shard job and
+// the commit phase share.
 type markSet struct {
 	vm    []vmark
 	epoch uint32
@@ -360,7 +365,7 @@ type markSet struct {
 // evalScratch is the reusable delta buffer set of one evaluation stream —
 // one per shard plus one for commit-phase re-evaluations. Its touch/kd
 // spans outlive the propose phase (commit reads them), so unlike the
-// marks they cannot be pooled.
+// marks they cannot be shared.
 type evalScratch struct {
 	ds    []int64 // per-degree accumulator, always zero between proposals
 	inD   []bool
@@ -379,7 +384,6 @@ type shardedRun struct {
 	st        *rewireState
 	rows      *sortedRows
 	forbid    bool
-	workers   int
 	shards    int
 	roundSize int
 
@@ -387,14 +391,9 @@ type shardedRun struct {
 	ctx    context.Context // round-boundary cancellation; nil = never
 	rngs   []*rand.Rand
 	degsOf [][]int32 // shard -> degree values it owns
+	marks  *markSet  // evaluation marks, shared by every evaluation
 
-	// marks pools min(workers, shards) mark sets — one per evaluation
-	// that can run at once. A shard job borrows one for its job, the
-	// commit phase one for its round.
-	marks chan *markSet
-
-	// Per-shard propose-phase outputs, reused across rounds. Only shard
-	// s's job writes index s, so the propose phase is race-free.
+	// Per-shard propose-phase outputs, reused across rounds.
 	props   [][]proposal
 	scratch []*evalScratch
 	cumK    [][]int32
@@ -420,7 +419,6 @@ func newShardedRun(st *rewireState, rows *sortedRows, opts ShardedRewireOptions)
 		rows:      rows,
 		ctx:       opts.Ctx,
 		forbid:    opts.ForbidDegenerate,
-		workers:   opts.Workers,
 		shards:    orDefault(opts.shards, DefaultRewireShards),
 		roundSize: orDefault(opts.roundSize, DefaultRewireRoundSize),
 		proposeTm: opts.Trace.Timer("rewire/propose"),
@@ -465,12 +463,7 @@ func newShardedRun(st *rewireState, rows *sortedRows, opts ShardedRewireOptions)
 		r.rngs[s] = sampling.SubStream(opts.Seed1, opts.Seed2, uint64(s))
 		r.scratch[s] = newEvalScratch(kmax)
 	}
-	// parallel.ForEach runs at most min(workers, shards) jobs at once, so
-	// a borrow never waits.
-	r.marks = make(chan *markSet, min(orDefault(r.workers, parallel.DefaultWorkers()), r.shards))
-	for range cap(r.marks) {
-		r.marks <- &markSet{vm: make([]vmark, len(st.deg))}
-	}
+	r.marks = &markSet{vm: make([]vmark, len(st.deg))}
 	r.props = make([][]proposal, r.shards)
 	r.cumK = make([][]int32, r.shards)
 	r.cumH = make([][]int32, r.shards)
@@ -511,10 +504,9 @@ func (r *shardedRun) run(total int, stats *RewireStats) {
 		r.round++
 		stats.Rounds++
 		r.proposeTm.Start()
-		parallel.ForEach(r.workers, r.shards, func(s int) error {
-			r.shardJob(s, r.quotas[s])
-			return nil
-		})
+		for s, q := range r.quotas {
+			r.shardJob(s, q)
+		}
 		r.proposeTm.Stop()
 		r.commitTm.Start()
 		r.commitRound(stats)
@@ -569,10 +561,9 @@ func (r *shardedRun) allocate(p int) bool {
 }
 
 // shardJob draws and evaluates one shard's proposals for the current
-// round. It reads shared state (adjacency rows, endpoints, buckets) that
-// no one mutates during the propose phase and writes only shard-owned
-// buffers, so jobs are race-free and their outputs independent of how
-// they are scheduled onto workers.
+// round. It reads the round-start state (adjacency rows, endpoints,
+// buckets) without mutating it and writes only shard-owned buffers and
+// the marks, so no shard's proposals depend on another's.
 func (r *shardedRun) shardJob(s, quota int) {
 	props := r.props[s][:0]
 	if quota == 0 {
@@ -599,7 +590,6 @@ func (r *shardedRun) shardJob(s, quota int) {
 		}
 	}
 	r.cumK[s], r.cumH[s] = cumK, cumH
-	ms := <-r.marks
 	for q := 0; q < quota; q++ {
 		var p proposal
 		if h > 0 {
@@ -619,18 +609,17 @@ func (r *shardedRun) shardJob(s, quota int) {
 			h1 := b[x-base]
 			h2 := b[rng.IntN(len(b))]
 			p = proposal{e1: int32(h1.edge), s1: uint8(h1.side), e2: int32(h2.edge), s2: uint8(h2.side)}
-			r.evalProposal(&p, sc, ms)
+			r.evalProposal(&p, sc)
 		}
 		props = append(props, p)
 	}
-	r.marks <- ms
 	r.props[s] = props
 }
 
 // evalProposal applies the serial loop's pre-checks and, if they pass,
 // computes the proposal's exact delta against the round-start state.
-// Read-only on shared state.
-func (r *shardedRun) evalProposal(p *proposal, sc *evalScratch, ms *markSet) {
+// Read-only on the rewiring state.
+func (r *shardedRun) evalProposal(p *proposal, sc *evalScratch) {
 	st := r.st
 	if p.e1 == p.e2 {
 		return
@@ -647,16 +636,14 @@ func (r *shardedRun) evalProposal(p *proposal, sc *evalScratch, ms *markSet) {
 		return
 	}
 	p.t0, p.k0 = int32(len(sc.touch)), int32(len(sc.kd))
-	r.evalSwap(sc, ms, int32(i), int32(j), int32(a), int32(b))
+	r.evalSwap(sc, int32(i), int32(j), int32(a), int32(b))
 	p.t1, p.k1 = int32(len(sc.touch)), int32(len(sc.kd))
 	p.flags = propEvaluated
 }
 
-// commitRound applies the round's proposals serially, interleaving the
-// shards position-by-position — a fixed order, so the result does not
-// depend on how the propose phase was scheduled.
+// commitRound applies the round's proposals one at a time, interleaving
+// the shards position-by-position — a fixed order.
 func (r *shardedRun) commitRound(stats *RewireStats) {
-	ms := <-r.marks
 	maxq := 0
 	for _, q := range r.quotas {
 		if q > maxq {
@@ -666,19 +653,18 @@ func (r *shardedRun) commitRound(stats *RewireStats) {
 	for pi := 0; pi < maxq; pi++ {
 		for s := 0; s < r.shards; s++ {
 			if pi < r.quotas[s] {
-				r.commitOne(s, pi, ms, stats)
+				r.commitOne(s, pi, stats)
 			}
 		}
 	}
-	r.marks <- ms
 }
 
 // commitOne re-validates one proposal against the live state and applies
 // it if the clustering distance strictly decreases. The precomputed delta
 // is reused when no earlier commit of this round touched any of the four
 // endpoints (it is then still exact); otherwise the swap is re-evaluated
-// in place — the only serial evaluation work in the engine.
-func (r *shardedRun) commitOne(s, pi int, ms *markSet, stats *RewireStats) {
+// in place.
+func (r *shardedRun) commitOne(s, pi int, stats *RewireStats) {
 	st := r.st
 	p := &r.props[s][pi]
 	stats.Attempts++
@@ -724,7 +710,7 @@ func (r *shardedRun) commitOne(s, pi int, ms *markSet, stats *RewireStats) {
 	sc := r.csc
 	sc.touch = sc.touch[:0]
 	sc.kd = sc.kd[:0]
-	r.evalSwap(sc, ms, int32(i), int32(j), int32(a), int32(b))
+	r.evalSwap(sc, int32(i), int32(j), int32(a), int32(b))
 	r.resolve(p, i, j, a, b, sc.touch, sc.kd, stats)
 }
 
@@ -795,13 +781,13 @@ func (sc *evalScratch) add(w, k int32, d int64) {
 }
 
 // evalSwap appends the exact per-node (touch) and per-degree (kd) deltas
-// of the swap (i,j)+(a,b) -> (i,b)+(a,j) to the scratch, never writing
-// shared state — evaluations may run concurrently.
+// of the swap (i,j)+(a,b) -> (i,b)+(a,j) to the scratch, writing no
+// rewiring state.
 //
 // For nodes outside the endpoint set {i,j,a,b} the four serial ops net to
 // delta_w = (A_iw - A_aw)*(A_bw - A_jw), with the per-op common-neighbor
 // sums cn1..cn4 recovered from the same products, so one sweep of the
-// four rows (denseWalk, marking in ms) replaces the serial loop's four
+// four rows (denseWalk, marking in r.marks) replaces the serial loop's four
 // scans. The overlay corrections of half-applied ops only ever concern
 // endpoint pairs, which the sweep skips; those go through a 4x4 matrix
 // replaying the exact serial op order: remove(i,j), remove(a,b),
@@ -810,7 +796,7 @@ func (sc *evalScratch) add(w, k int32, d int64) {
 //
 // kd comes out sorted by degree with exact-zero deltas omitted; touch may
 // repeat a node (entries sum).
-func (r *shardedRun) evalSwap(sc *evalScratch, ms *markSet, i, j, a, b int32) {
+func (r *shardedRun) evalSwap(sc *evalScratch, i, j, a, b int32) {
 	var nodes [4]int32
 	nn := 0
 	idx := func(x int32) int {
@@ -832,7 +818,7 @@ func (r *shardedRun) evalSwap(sc *evalScratch, ms *markSet, i, j, a, b int32) {
 	// mat holds the endpoint-pair adjacencies, which the walk captures
 	// during its row scans, plus the overlay of half-applied ops.
 	var mat [4][4]int64
-	cn1, cn2, cn3, cn4 := r.denseWalk(sc, ms, i, j, a, b, nodes, nn, op1, op2, op3, op4, &mat, ii, ji, ai, bi)
+	cn1, cn2, cn3, cn4 := r.denseWalk(sc, i, j, a, b, nodes, nn, op1, op2, op3, op4, &mat, ii, ji, ai, bi)
 	deg := r.st.deg
 	if nn == 4 && mat[ii][ai]|mat[ii][bi]|mat[ai][ji]|mat[ji][bi] == 0 {
 		// No cross pair (i,a), (i,b), (a,j), (j,b) is adjacent, so every
@@ -935,8 +921,8 @@ func (sc *evalScratch) drain() {
 // stream by, filling mat for free (aliased endpoints leave their diagonal
 // entries zero: a row never contains its own node). Deltas are integers,
 // so emission order never reaches the degree-sorted kd span.
-func (r *shardedRun) denseWalk(sc *evalScratch, ms *markSet, i, j, a, b int32, nodes [4]int32, nn int, op1, op2, op3, op4 bool, mat *[4][4]int64, ii, ji, ai, bi int) (cn1, cn2, cn3, cn4 int64) {
-	sr := r.rows
+func (r *shardedRun) denseWalk(sc *evalScratch, i, j, a, b int32, nodes [4]int32, nn int, op1, op2, op3, op4 bool, mat *[4][4]int64, ii, ji, ai, bi int) (cn1, cn2, cn3, cn4 int64) {
+	sr, ms := r.rows, r.marks
 	ms.epoch++
 	if ms.epoch == 0 {
 		clear(ms.vm)

@@ -38,7 +38,8 @@ func nodeCount(fixed, cands []graph.Edge) int {
 // differential inputs: every RewireStats field (the L1 distances by their
 // float bits), the output graph and the final candidate endpoints, through
 // rewireDigest, for seeds 1-4 with and without ForbidDegenerate. The
-// digests were recorded while worker counts 1, 2 and 8 all produced them.
+// digests were recorded while the propose phase still ran on a worker
+// pool, and worker counts 1, 2 and 8 all produced them.
 func TestRewireShardedDigest(t *testing.T) {
 	want := [4][2]string{ // [seed-1][forbid]
 		{"f91e9bbe16bf2c7f266b08a5377c3cbf244939e65c56ec89535d0d1b2cdbbbd8", "ddf513a792caa00ff0bde3789d73d3781e79bd72322e301aae200a00fe470bc5"},
@@ -50,53 +51,44 @@ func TestRewireShardedDigest(t *testing.T) {
 		fixed, cands, target := shardedInput(seed, 120+int(seed)*40)
 		n := nodeCount(fixed, cands)
 		for fi, forbid := range []bool{false, true} {
-			for _, workers := range []int{1, 2, 8} {
-				cc := append([]graph.Edge(nil), cands...)
-				g, st := RewireSharded(n, fixed, cc, ShardedRewireOptions{
-					TargetClustering: target,
-					RC:               6,
-					Seed1:            seed,
-					Seed2:            seed ^ 0xabcdef,
-					ForbidDegenerate: forbid,
-					Workers:          workers,
-				})
-				if st.Accepted == 0 {
-					t.Errorf("seed %d forbid=%v: sharded rewiring accepted nothing — weak input", seed, forbid)
-				}
-				if got := rewireDigest(g, cc, st); got != want[seed-1][fi] {
-					t.Errorf("seed %d forbid=%v workers=%d: digest %s, want %s (stats %+v)",
-						seed, forbid, workers, got, want[seed-1][fi], st)
-				}
+			cc := append([]graph.Edge(nil), cands...)
+			g, st := RewireSharded(n, fixed, cc, ShardedRewireOptions{
+				TargetClustering: target,
+				RC:               6,
+				Seed1:            seed,
+				Seed2:            seed ^ 0xabcdef,
+				ForbidDegenerate: forbid,
+			})
+			if st.Accepted == 0 {
+				t.Errorf("seed %d forbid=%v: sharded rewiring accepted nothing — weak input", seed, forbid)
+			}
+			if got := rewireDigest(g, cc, st); got != want[seed-1][fi] {
+				t.Errorf("seed %d forbid=%v: digest %s, want %s (stats %+v)",
+					seed, forbid, got, want[seed-1][fi], st)
 			}
 		}
 	}
 }
 
-// TestRewireShardedShapeInvariance pins the other half of the contract:
-// the shard count and round size DO select the trajectory (they are part
-// of the output contract), while Workers never does — even for
-// non-default shard shapes.
+// TestRewireShardedShapeInvariance pins that the shard count and round
+// size select the trajectory: they are part of the output contract.
 func TestRewireShardedShapeInvariance(t *testing.T) {
 	fixed, cands, target := shardedInput(3, 150)
 	n := nodeCount(fixed, cands)
-	run := func(workers, shards, roundSize int) RewireStats {
+	run := func(shards, roundSize int) RewireStats {
 		cc := append([]graph.Edge(nil), cands...)
 		_, st := RewireSharded(n, fixed, cc, ShardedRewireOptions{
 			TargetClustering: target,
 			RC:               6,
 			Seed1:            7,
 			Seed2:            11,
-			Workers:          workers,
 			shards:           shards,
 			roundSize:        roundSize,
 		})
 		return st
 	}
-	odd := run(1, 3, 17) // stress quota allocation with awkward shapes
-	if odd != run(8, 3, 17) {
-		t.Fatal("workers changed the result at non-default shard shape")
-	}
-	def := run(1, 0, 0)
+	odd := run(3, 17) // stress quota allocation with awkward shapes
+	def := run(0, 0)
 	if odd == def {
 		t.Fatal("distinct shard shapes produced identical stats — shape is not keying the trajectory")
 	}
@@ -112,9 +104,8 @@ func TestRewireShardedDeltaExact(t *testing.T) {
 		fixed, cands, target := shardedInput(seed, 100+int(seed)*25)
 		n := nodeCount(fixed, cands)
 		st := newSerialState(n, fixed, cands, target)
-		run := &shardedRun{st: st.rewireState, rows: buildRows(st)}
+		run := &shardedRun{st: st.rewireState, rows: buildRows(st), marks: &markSet{vm: make([]vmark, n)}}
 		sc := newEvalScratch(len(st.buckets) - 1)
-		ms := &markSet{vm: make([]vmark, n)}
 		r := rand.New(rand.NewPCG(seed, 0xd1ff))
 		kmax := len(st.buckets) - 1
 		dsum := make([]int64, kmax+1)
@@ -136,7 +127,7 @@ func TestRewireShardedDeltaExact(t *testing.T) {
 			exercised++
 
 			sc.touch, sc.kd = sc.touch[:0], sc.kd[:0]
-			run.evalSwap(sc, ms, int32(i), int32(j), int32(a), int32(b))
+			run.evalSwap(sc, int32(i), int32(j), int32(a), int32(b))
 			pred := map[int32]int64{}
 			for _, td := range sc.touch {
 				pred[td.w] += td.d

@@ -104,12 +104,6 @@ type Config struct {
 	// parallel.DefaultWorkers). Every cell derives its own PCG stream
 	// from Seed, so the results are byte-identical at any worker count.
 	Workers int
-	// RewireWorkers bounds the propose-phase parallelism inside each
-	// cell's phase-4 rewiring (default 1: the engine's parallelism unit
-	// is the cell, and nesting rewiring pools under Workers concurrent
-	// cells multiplies the goroutine count). Rewiring output is
-	// byte-identical at any value.
-	RewireWorkers int
 	// Original, when non-nil, is the precomputed property result of the
 	// original graph (from ComputeOriginal), letting sweeps that evaluate
 	// one graph under many configurations skip recomputing it per call.
@@ -184,9 +178,6 @@ func (c Config) withDefaults() Config {
 	// count and Brandes scratch. The value changes no bits.
 	if c.PropOpts.Workers <= 0 {
 		c.PropOpts.Workers = 1
-	}
-	if c.RewireWorkers <= 0 {
-		c.RewireWorkers = 1
 	}
 	return c
 }
@@ -494,7 +485,7 @@ func generate(g *graph.Graph, cfg Config, m Method, seed int, walk *sampling.Cra
 		sg, d := subgraphOf(walk)
 		return sg, d, 0, nil
 	case MethodGjoka, MethodProposed:
-		res, err := cfg.Restorer(m, walk, core.Options{RC: cfg.RC, RewireWorkers: cfg.RewireWorkers, Rand: r})
+		res, err := cfg.Restorer(m, walk, core.Options{RC: cfg.RC, Rand: r})
 		if err != nil {
 			return nil, 0, 0, err
 		}

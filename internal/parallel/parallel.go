@@ -88,16 +88,6 @@ func Map[T any](workers, n int, fn func(i int) (T, error)) ([]T, error) {
 	return out, nil
 }
 
-// ForEach runs fn(0), ..., fn(n-1) on at most workers goroutines, for jobs
-// that write their results into caller-owned, index-disjoint slots. The
-// error contract matches Map.
-func ForEach(workers, n int, fn func(i int) error) error {
-	_, err := Map(workers, n, func(i int) (struct{}, error) {
-		return struct{}{}, fn(i)
-	})
-	return err
-}
-
 // Blocks partitions [0, n) into contiguous blocks and runs fn(lo, hi) for
 // each on at most workers goroutines. It suits tight per-element loops
 // whose bodies are too cheap to schedule individually and lets fn allocate

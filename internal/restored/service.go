@@ -37,15 +37,6 @@ type Config struct {
 	// (default 1: the daemon's parallelism unit is the job).
 	// It bounds CPU only: the /props bytes are identical at any value.
 	PropsWorkers int
-	// RewireWorkers bounds the propose-phase parallelism of each job's
-	// phase-4 rewiring (default 1: the daemon's parallelism unit is the
-	// job, and nesting rewiring pools under Workers concurrent jobs
-	// multiplies goroutines for no benefit on a loaded pool). Rewiring
-	// output is byte-identical at any value, which is why this knob is
-	// service configuration and deliberately NOT part of the job spec or
-	// its content address: the same submission hits the same cache line
-	// on daemons configured differently.
-	RewireWorkers int
 	// Logf reports job lifecycle events (log.Printf-shaped; default
 	// silent).
 	Logf func(format string, args ...any)
@@ -186,9 +177,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.PropsWorkers <= 0 {
 		cfg.PropsWorkers = 1
 	}
-	if cfg.RewireWorkers <= 0 {
-		cfg.RewireWorkers = 1
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -233,9 +221,6 @@ func New(cfg Config) (*Service, error) {
 	})
 	s.reg.GaugeFunc("restored_workers", "configured pipeline worker-pool width", func() int64 {
 		return int64(s.cfg.Workers)
-	})
-	s.reg.GaugeFunc("restored_rewire_workers", "configured per-job rewiring parallelism", func() int64 {
-		return int64(s.cfg.RewireWorkers)
 	})
 
 	// Crash recovery: replay the job WAL before any worker starts, so
@@ -734,7 +719,6 @@ func (s *Service) run(j *Job) {
 		RC:               j.spec.rc,
 		SkipRewiring:     j.spec.skip,
 		ForbidDegenerate: j.spec.forbid,
-		RewireWorkers:    s.cfg.RewireWorkers,
 		// Cooperative cancellation: core polls this at phase boundaries
 		// (and passes it down to rewiring round boundaries). The polls read
 		// the context only, so a completing run is byte-identical whether
