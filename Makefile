@@ -181,6 +181,7 @@ sgrbench-test:
 fuzz:
 	$(GO) test ./internal/core -run='^FuzzFenwick$$' -fuzz='^FuzzFenwick$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/graph -run='^FuzzFromEdgeLists$$' -fuzz='^FuzzFromEdgeLists$$' -fuzztime=$(FUZZTIME)
+	$(GO) test ./internal/dkseries -run='^FuzzRewireSharded$$' -fuzz='^FuzzRewireSharded$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/sampling -run='^FuzzReadCrawlJSON$$' -fuzz='^FuzzReadCrawlJSON$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/restored -run='^FuzzCacheKeyCanonicalization$$' -fuzz='^FuzzCacheKeyCanonicalization$$' -fuzztime=$(FUZZTIME)
 	$(GO) test ./internal/restored -run='^FuzzJobJournal$$' -fuzz='^FuzzJobJournal$$' -fuzztime=$(FUZZTIME)

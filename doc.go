@@ -66,10 +66,11 @@
 // Phase-4 rewiring — the pipeline's hot path — runs on the sharded
 // round engine of dkseries.RewireSharded: the candidate half-edge space
 // is partitioned by degree bucket into a fixed number of shards, each
-// shard proposes swaps from its own PCG sub-stream (sampling.SubStream)
-// and evaluates their exact clustering deltas read-only against sorted
-// neighbor rows, and accepted swaps are committed in a fixed shard order,
-// all on the calling goroutine. The restored graph is a deterministic
+// shard draws swap proposals from its own PCG sub-stream
+// (sampling.SubStream), and the commit step takes them in a fixed shard
+// order, evaluates each one's exact clustering delta once against the
+// live sorted neighbor rows and applies the accepted swaps, all on the
+// calling goroutine. The restored graph is a deterministic
 // function of (input, seed, shard count, round size). The rewiring
 // trajectory differs from that of Algorithm 6's serial loop (kept as a
 // frozen test reference) — the two share state and accept semantics, not

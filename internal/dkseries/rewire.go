@@ -49,8 +49,10 @@ type RewireStats struct {
 	FinalL1   float64 // and after
 	// Rounds is the number of propose/commit rounds RewireSharded ran.
 	Rounds int
-	// Recomputed counts proposals whose precomputed delta was invalidated
-	// by an earlier commit of the same round and re-evaluated serially.
+	// Recomputed counts evaluated proposals that an earlier commit of the
+	// same round had made stale: one of their edges was re-pointed or one
+	// of their endpoints' rows changed. Under ForbidDegenerate these are
+	// the proposals re-checked for degeneracy on the live rows.
 	Recomputed int
 }
 

@@ -17,33 +17,30 @@ import (
 // reference in rewire_serialref_test.go). RewireSharded restructures it
 // into rounds:
 //
-//  1. Propose (read-only). The candidate half-edge space is
-//     partitioned by degree bucket into a fixed number of shards. Each
-//     shard draws a quota of swap proposals from its own PCG sub-stream
-//     (sampling.SubStream) and evaluates the exact triangle-count delta
-//     of each proposal against the round-start adjacency without
-//     mutating it. The four scans of the serial loop fuse into one
-//     sweep: for any node w outside the swap's endpoint set, the net
-//     delta of remove(i,j), remove(a,b), add(i,b), add(a,j) factors as
+//  1. Propose (draw only). The candidate half-edge space is partitioned
+//     by degree bucket into a fixed number of shards. Each shard draws a
+//     quota of swap proposals from its own PCG sub-stream
+//     (sampling.SubStream) over the round-start buckets. Under
+//     ForbidDegenerate it also records each proposal's degeneracy verdict
+//     against the round-start rows: that verdict stands at commit for as
+//     long as neither of the proposal's edges has been re-pointed.
+//  2. Commit (fixed order). Proposals are taken in a fixed interleaved
+//     shard order and each is evaluated once, against the live state:
+//     the pre-checks, then the exact triangle-count delta of the swap,
+//     computed without mutating anything. The four scans of the serial
+//     loop fuse into one sweep: for any node w outside the swap's
+//     endpoint set, the net delta of remove(i,j), remove(a,b), add(i,b),
+//     add(a,j) factors as
 //
 //         delta_w = (A_iw - A_aw) * (A_bw - A_jw)
 //
 //     so one mark-and-probe pass over the four neighbor rows (sortedRows)
 //     yields every delta, while the handful of endpoint-internal
 //     contributions go through a 4x4 overlay matrix that replays the
-//     serial op order exactly.
-//  2. Commit (fixed order). Proposals are applied in a fixed
-//     interleaved shard order. A proposal whose four endpoints are
-//     untouched by earlier commits of the same round reuses its
-//     precomputed per-degree delta verbatim (degrees are invariant, so
-//     it is still exact); a conflicting proposal is re-evaluated against
-//     the live state. Rejected proposals — the overwhelming majority —
-//     cost one pass over a handful of per-degree deltas and mutate
-//     nothing.
+//     serial op order exactly. Rejected proposals — the overwhelming
+//     majority — mutate nothing.
 //
-// Both phases run on the calling goroutine. A round's shard jobs take
-// microseconds each: a pool of propose workers, measured on a 2-core
-// host, ran propose no faster at 2 workers than at 1, so there is none.
+// Both phases run on the calling goroutine.
 //
 // The output graph, the final candidate endpoints and every RewireStats
 // field are functions of (input, Seed1, Seed2, shard count, round size):
@@ -58,11 +55,11 @@ import (
 // re-keys every seeded result.
 const DefaultRewireShards = 16
 
-// DefaultRewireRoundSize is the default number of proposals evaluated per
+// DefaultRewireRoundSize is the default number of proposals drawn per
 // round across all shards. Larger rounds amortize the per-round quota
-// allocation but raise the chance a proposal conflicts with an earlier
-// commit of the same round (forcing a re-evaluation at commit). Part of the
-// output contract, like DefaultRewireShards.
+// allocation but raise the chance a proposal meets an edge or a row that
+// an earlier commit of the same round changed (RewireStats.Recomputed).
+// Part of the output contract, like DefaultRewireShards.
 const DefaultRewireRoundSize = 256
 
 // ShardedRewireOptions configures RewireSharded. The zero value of every
@@ -82,10 +79,13 @@ type ShardedRewireOptions struct {
 	// parallel edge, steering the output toward a simple graph (a 2K+
 	// style extension; the paper's model permits both).
 	ForbidDegenerate bool
-	// Trace, when set, receives two aggregate timers — "rewire/propose"
-	// and "rewire/commit" — accumulating the per-round phase split across
-	// every round of the run. It is wall-clock-only: the timers read the monotonic clock and nothing else, so the output
-	// graph and RewireStats are byte-identical with and without one.
+	// Trace, when set, receives two timers summed over every round of the
+	// run: "rewire/propose" covers drawing the proposals (and, under
+	// ForbidDegenerate, their round-start degeneracy verdicts);
+	// "rewire/commit" covers evaluating each proposal's delta, the accept
+	// test and applying accepted swaps. The timers read the monotonic
+	// clock and nothing else, so the output graph and RewireStats are
+	// byte-identical with and without one.
 	Trace *obs.Trace
 	// Ctx, when set, is polled non-blockingly at the top of every
 	// propose/commit round: once it is done the engine stops issuing
@@ -140,10 +140,10 @@ func RewireSharded(n int, fixed []graph.Edge, candidates []graph.Edge, opts Shar
 }
 
 // sortedRows is the rewiring adjacency as per-node sorted neighbor rows
-// with a parallel multiplicity array, both carved from flat arenas. The
-// propose phase only reads it (linear row scans and sorted-row probes, no
-// hashing); only commit-phase accepts mutate it — a few
-// ordered memmoves per accepted swap. Row capacity is deg[u]: a node's
+// with a parallel multiplicity array, both carved from flat arenas.
+// Degeneracy checks and evaluations only read it (linear row scans and
+// sorted-row probes, no hashing); only accepted swaps mutate it — a few
+// ordered memmoves each. Row capacity is deg[u]: a node's
 // distinct-neighbor count can never exceed its degree.
 type sortedRows struct {
 	off []int   // row start in the arenas
@@ -312,27 +312,19 @@ type tDelta struct {
 }
 
 // kDelta is one degree class's triangle-sum delta under a proposed swap —
-// all the accept test needs. Spans of these are what makes rejects cheap.
+// all the accept test needs, so a reject costs a pass over a handful.
 type kDelta struct {
 	k int32
 	d int64
 }
 
-// propEvaluated marks a proposal whose delta was computed in the propose
-// phase (as opposed to rejected before evaluation).
-const propEvaluated uint8 = 1
-
-// proposal is one candidate edge swap: exchange the partners of half
-// (e1,s1) and half (e2,s2). i,j,a,b snapshot the endpoints the propose
-// phase evaluated, so the commit phase can detect staleness. t0:t1 and
-// k0:k1 are the delta spans in the owning shard's scratch buffers.
+// proposal is one drawn candidate edge swap: exchange the partners of
+// half (e1,s1) and half (e2,s2). degenerate is the ForbidDegenerate
+// verdict against the round-start rows (always false without it).
 type proposal struct {
 	e1, e2     int32
 	s1, s2     uint8
-	flags      uint8
-	i, j, a, b int32
-	t0, t1     int32
-	k0, k1     int32
+	degenerate bool
 }
 
 // uline is one U-side intersection hit of the evaluator: node w with its
@@ -354,18 +346,15 @@ type vmark struct {
 // markSet is the evaluator's per-node mark array — one entry per node,
 // epoch-stamped so no clearing is needed between evaluations — plus the
 // list collecting U-side hits. At 12 bytes per node it is the engine's
-// only O(n) evaluation scratch; a run owns one, which every shard job and
-// the commit phase share.
+// only O(n) evaluation scratch; a run owns one.
 type markSet struct {
 	vm    []vmark
 	epoch uint32
 	ul    []uline
 }
 
-// evalScratch is the reusable delta buffer set of one evaluation stream —
-// one per shard plus one for commit-phase re-evaluations. Its touch/kd
-// spans outlive the propose phase (commit reads them), so unlike the
-// marks they cannot be shared.
+// evalScratch is the reusable delta buffer set of one evaluation; a run
+// owns one, reset before each proposal it evaluates.
 type evalScratch struct {
 	ds    []int64 // per-degree accumulator, always zero between proposals
 	inD   []bool
@@ -393,16 +382,15 @@ type shardedRun struct {
 	degsOf [][]int32 // shard -> degree values it owns
 	marks  *markSet  // evaluation marks, shared by every evaluation
 
-	// Per-shard propose-phase outputs, reused across rounds.
-	props   [][]proposal
-	scratch []*evalScratch
-	cumK    [][]int32
-	cumH    [][]int32
+	// Per-shard proposals, reused across rounds, and the pairable-bucket
+	// prefix sums shardJob draws through (one pair: shards draw in turn).
+	props      [][]proposal
+	cumK, cumH []int32
 
 	// Commit-phase state.
 	stamp   []uint32 // node -> round of last adjacency mutation
 	estamp  []uint32 // candidate edge -> round of last half re-pointing
-	csc     *evalScratch
+	sc      *evalScratch
 	newTerm []float64
 
 	// Aggregate round timers (nil when untraced): the propose/commit
@@ -458,18 +446,14 @@ func newShardedRun(st *rewireState, rows *sortedRows, opts ShardedRewireOptions)
 		slices.Sort(r.degsOf[s])
 	}
 	r.rngs = make([]*rand.Rand, r.shards)
-	r.scratch = make([]*evalScratch, r.shards)
 	for s := range r.rngs {
 		r.rngs[s] = sampling.SubStream(opts.Seed1, opts.Seed2, uint64(s))
-		r.scratch[s] = newEvalScratch(kmax)
 	}
 	r.marks = &markSet{vm: make([]vmark, len(st.deg))}
 	r.props = make([][]proposal, r.shards)
-	r.cumK = make([][]int32, r.shards)
-	r.cumH = make([][]int32, r.shards)
 	r.stamp = make([]uint32, len(st.deg))
 	r.estamp = make([]uint32, len(st.ends))
-	r.csc = newEvalScratch(kmax)
+	r.sc = newEvalScratch(kmax)
 	r.hs = make([]int, r.shards)
 	r.quotas = make([]int, r.shards)
 	r.remOrder = make([]int, r.shards)
@@ -560,10 +544,10 @@ func (r *shardedRun) allocate(p int) bool {
 	return true
 }
 
-// shardJob draws and evaluates one shard's proposals for the current
-// round. It reads the round-start state (adjacency rows, endpoints,
-// buckets) without mutating it and writes only shard-owned buffers and
-// the marks, so no shard's proposals depend on another's.
+// shardJob draws one shard's proposals for the current round. It reads
+// the round-start state (buckets, and under ForbidDegenerate endpoints
+// and rows) without mutating it, so no shard's proposals depend on
+// another's.
 func (r *shardedRun) shardJob(s, quota int) {
 	props := r.props[s][:0]
 	if quota == 0 {
@@ -572,15 +556,12 @@ func (r *shardedRun) shardJob(s, quota int) {
 	}
 	st := r.st
 	rng := r.rngs[s]
-	sc := r.scratch[s]
-	sc.touch = sc.touch[:0]
-	sc.kd = sc.kd[:0]
 	// Pairable-bucket prefix sums: the shard's proposal index. Buckets
 	// with fewer than two halves cannot form a swap, so they are excluded
 	// from selection entirely — on hub-heavy graphs this is what keeps
 	// near-singleton hub buckets from burning the attempt budget on
 	// self-pairings.
-	cumK, cumH := r.cumK[s][:0], r.cumH[s][:0]
+	cumK, cumH := r.cumK[:0], r.cumH[:0]
 	h := int32(0)
 	for _, k := range r.degsOf[s] {
 		if n := len(st.buckets[k]); n >= 2 {
@@ -589,7 +570,7 @@ func (r *shardedRun) shardJob(s, quota int) {
 			cumH = append(cumH, h)
 		}
 	}
-	r.cumK[s], r.cumH[s] = cumK, cumH
+	r.cumK, r.cumH = cumK, cumH
 	for q := 0; q < quota; q++ {
 		var p proposal
 		if h > 0 {
@@ -609,36 +590,29 @@ func (r *shardedRun) shardJob(s, quota int) {
 			h1 := b[x-base]
 			h2 := b[rng.IntN(len(b))]
 			p = proposal{e1: int32(h1.edge), s1: uint8(h1.side), e2: int32(h2.edge), s2: uint8(h2.side)}
-			r.evalProposal(&p, sc)
+			if r.forbid {
+				p.degenerate = r.degenerate(r.swapEnds(&p))
+			}
 		}
 		props = append(props, p)
 	}
 	r.props[s] = props
 }
 
-// evalProposal applies the serial loop's pre-checks and, if they pass,
-// computes the proposal's exact delta against the round-start state.
-// Read-only on the rewiring state.
-func (r *shardedRun) evalProposal(p *proposal, sc *evalScratch) {
+// swapEnds returns the live endpoints of proposal p: edge e1 read from
+// side s1 is (i,j), edge e2 read from side s2 is (a,b).
+func (r *shardedRun) swapEnds(p *proposal) (i, j, a, b int) {
 	st := r.st
-	if p.e1 == p.e2 {
-		return
-	}
-	i := st.endpoint(int(p.e1), int(p.s1))
-	j := st.endpoint(int(p.e1), 1-int(p.s1))
-	a := st.endpoint(int(p.e2), int(p.s2))
-	b := st.endpoint(int(p.e2), 1-int(p.s2))
-	p.i, p.j, p.a, p.b = int32(i), int32(j), int32(a), int32(b)
-	if i == a || j == b {
-		return
-	}
-	if r.forbid && (i == b || a == j || r.rows.get(int32(i), int32(b)) > 0 || r.rows.get(int32(a), int32(j)) > 0) {
-		return
-	}
-	p.t0, p.k0 = int32(len(sc.touch)), int32(len(sc.kd))
-	r.evalSwap(sc, int32(i), int32(j), int32(a), int32(b))
-	p.t1, p.k1 = int32(len(sc.touch)), int32(len(sc.kd))
-	p.flags = propEvaluated
+	e1, s1, e2, s2 := int(p.e1), int(p.s1), int(p.e2), int(p.s2)
+	return st.endpoint(e1, s1), st.endpoint(e1, 1-s1), st.endpoint(e2, s2), st.endpoint(e2, 1-s2)
+}
+
+// degenerate reports whether the swap (i,j)+(a,b) -> (i,b)+(a,j) would
+// create a self-loop or a parallel edge in the current rows. Swapping two
+// self-loops (i == j, a == b) would add {i,a} twice.
+func (r *shardedRun) degenerate(i, j, a, b int) bool {
+	return i == b || a == j || (i == j && a == b) ||
+		r.rows.get(int32(i), int32(b)) > 0 || r.rows.get(int32(a), int32(j)) > 0
 }
 
 // commitRound applies the round's proposals one at a time, interleaving
@@ -653,71 +627,55 @@ func (r *shardedRun) commitRound(stats *RewireStats) {
 	for pi := 0; pi < maxq; pi++ {
 		for s := 0; s < r.shards; s++ {
 			if pi < r.quotas[s] {
-				r.commitOne(s, pi, stats)
+				r.commitOne(&r.props[s][pi], stats)
 			}
 		}
 	}
 }
 
-// commitOne re-validates one proposal against the live state and applies
-// it if the clustering distance strictly decreases. The precomputed delta
-// is reused when no earlier commit of this round touched any of the four
-// endpoints (it is then still exact); otherwise the swap is re-evaluated
-// in place.
-func (r *shardedRun) commitOne(s, pi int, stats *RewireStats) {
+// commitOne validates one proposal against the live state, evaluates its
+// exact delta and applies it if the clustering distance strictly
+// decreases.
+func (r *shardedRun) commitOne(p *proposal, stats *RewireStats) {
 	st := r.st
-	p := &r.props[s][pi]
 	stats.Attempts++
 	if p.e1 == p.e2 {
 		// Same edge drawn twice, or the zero proposal of a shard that ran
 		// out of pairable halves mid-round. Either way: burn the attempt.
 		return
 	}
-	var i, j, a, b int
-	if r.estamp[p.e1] != r.round && r.estamp[p.e2] != r.round {
-		// Neither edge was re-pointed this round, so the endpoints still
-		// match the propose-phase snapshot and every pre-check verdict
-		// stands. A proposal rejected before evaluation rejects again.
-		if p.flags&propEvaluated == 0 {
-			return
-		}
-		i, j, a, b = int(p.i), int(p.j), int(p.a), int(p.b)
-		if r.stamp[i] != r.round && r.stamp[j] != r.round && r.stamp[a] != r.round && r.stamp[b] != r.round {
-			// No endpoint's adjacency changed either: the precomputed
-			// delta (and any forbid verdict) is still exact.
-			sc := r.scratch[s]
-			r.resolve(p, i, j, a, b, sc.touch[p.t0:p.t1], sc.kd[p.k0:p.k1], stats)
-			return
-		}
-	} else {
-		i = st.endpoint(int(p.e1), int(p.s1))
-		j = st.endpoint(int(p.e1), 1-int(p.s1))
-		a = st.endpoint(int(p.e2), int(p.s2))
-		b = st.endpoint(int(p.e2), 1-int(p.s2))
-		if st.deg[i] != st.deg[a] {
-			// A re-pointed half landed in a different bucket; the pairing
-			// no longer preserves the JDM.
-			return
-		}
-		if i == a || j == b {
-			return
-		}
-	}
-	if r.forbid && (i == b || a == j || r.rows.get(int32(i), int32(b)) > 0 || r.rows.get(int32(a), int32(j)) > 0) {
+	i, j, a, b := r.swapEnds(p)
+	if st.deg[i] != st.deg[a] || i == a || j == b {
+		// Only a re-pointed half can have left the bucket it was drawn
+		// from, and that pairing would not preserve the JDM; i == a or
+		// j == b swaps nothing.
 		return
 	}
-	stats.Recomputed++
-	sc := r.csc
+	repointed := r.estamp[p.e1] == r.round || r.estamp[p.e2] == r.round
+	stale := repointed || r.stamp[i] == r.round || r.stamp[j] == r.round || r.stamp[a] == r.round || r.stamp[b] == r.round
+	if r.forbid {
+		// While neither edge was re-pointed, the round-start verdict
+		// stands, even where an earlier commit changed an endpoint's
+		// row; a stale proposal must also pass on the live rows.
+		if (!repointed && p.degenerate) || (stale && r.degenerate(i, j, a, b)) {
+			return
+		}
+	}
+	if stale {
+		stats.Recomputed++
+	}
+	sc := r.sc
 	sc.touch = sc.touch[:0]
 	sc.kd = sc.kd[:0]
 	r.evalSwap(sc, int32(i), int32(j), int32(a), int32(b))
-	r.resolve(p, i, j, a, b, sc.touch, sc.kd, stats)
+	r.resolve(p, i, j, a, b, stats)
 }
 
-// resolve runs the accept test for a validated proposal and applies the
-// swap when the clustering distance strictly decreases.
-func (r *shardedRun) resolve(p *proposal, i, j, a, b int, touch []tDelta, kd []kDelta, stats *RewireStats) {
+// resolve runs the accept test on the delta evalSwap left in r.sc and
+// applies the swap when the clustering distance strictly decreases.
+func (r *shardedRun) resolve(p *proposal, i, j, a, b int, stats *RewireStats) {
 	st := r.st
+	touch, kd := r.sc.touch, r.sc.kd
 	// The accept test: replay the serial loop's settle — term deltas
 	// accumulated in ascending degree order (kd is sorted) so the float
 	// sum has one fixed order.

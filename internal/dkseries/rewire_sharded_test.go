@@ -95,7 +95,8 @@ func TestRewireShardedShapeInvariance(t *testing.T) {
 }
 
 // TestRewireShardedDeltaExact is the white-box differential behind the
-// read-only evaluator: for random swap proposals, evalSwap's predicted
+// commit-time evaluator, which computes a swap's deltas without applying
+// them: for random swap proposals, evalSwap's predicted
 // per-node triangle deltas and the sorted-dirty accept sum must match
 // what the serial engine's mutate path (removeEdge/addEdge/settleDirty)
 // actually produces — bit for bit on the float side.
@@ -365,4 +366,68 @@ func TestShardedStateMatchesSerial(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestRewireShardedDegeneracyVerdict pins the ForbidDegenerate rule of the
+// commit phase on hand-built rounds. The graph is triangle-free and every
+// target is 1, so a swap is accepted exactly when it closes a triangle.
+// Nodes (degree): i=0 (3), j=1 (1), b=2 (2), x=3 (3), c=4 (3), d=5 (2),
+// a=8 (3), p=10 (3), q=11 (1), and leaves 6, 7, 9, 12, 13.
+//
+//	candidates: e0 (i,j), e1 (a,b), e2 (i,b), e3 (c,d), e4 (p,q)
+//	fixed:      (i,x) (d,x) (c,6) (c,7) (a,9) (a,x) (p,12) (p,13)
+//
+// swap(e0,e1) would add (i,b), a parallel edge to e2: it is degenerate at
+// round start. swap(e2,e3) drops (i,b) and closes triangle i-d-x;
+// swap(e1,e3) re-points e1 to (a,d) and closes a-d-x. Both are accepted.
+func TestRewireShardedDegeneracyVerdict(t *testing.T) {
+	fixed := []graph.Edge{{U: 0, V: 3}, {U: 5, V: 3}, {U: 4, V: 6}, {U: 4, V: 7}, {U: 8, V: 9}, {U: 8, V: 3}, {U: 10, V: 12}, {U: 10, V: 13}}
+	cands := []graph.Edge{{U: 0, V: 1}, {U: 8, V: 2}, {U: 0, V: 2}, {U: 4, V: 5}, {U: 10, V: 11}}
+	target := map[int]float64{1: 1, 2: 1, 3: 1}
+	swap := func(e1, e2 int32) proposal { return proposal{e1: e1, e2: e2} } // both from side U
+	// round commits props as one round, each verdict drawn at round start
+	// the way shardJob draws it, and reports the verdicts and the stats.
+	round := func(props ...proposal) ([]bool, RewireStats) {
+		st, rows := newShardedState(14, fixed, append([]graph.Edge(nil), cands...), target)
+		r := newShardedRun(st, rows, ShardedRewireOptions{TargetClustering: target, ForbidDegenerate: true})
+		r.round++
+		verdicts := make([]bool, len(props))
+		for k := range props {
+			props[k].degenerate = r.degenerate(r.swapEnds(&props[k]))
+			verdicts[k] = props[k].degenerate
+		}
+		var stats RewireStats
+		for k := range props {
+			r.commitOne(&props[k], &stats)
+		}
+		return verdicts, stats
+	}
+	check := func(name string, verdicts []bool, stats RewireStats, wantVerdicts []bool, accepted, recomputed int) {
+		t.Helper()
+		if !slices.Equal(verdicts, wantVerdicts) {
+			t.Errorf("%s: round-start verdicts %v, want %v", name, verdicts, wantVerdicts)
+		}
+		if stats.Attempts != len(verdicts) || stats.Accepted != accepted || stats.Recomputed != recomputed {
+			t.Errorf("%s: stats %+v, want %d attempts, %d accepted, %d recomputed",
+				name, stats, len(verdicts), accepted, recomputed)
+		}
+	}
+
+	// (a) swap(e2,e3) removes (i,b) and stamps i and b, so on the live rows
+	// swap(e0,e1) is no longer degenerate. Neither e0 nor e1 was
+	// re-pointed: the round-start verdict stands and rejects it before
+	// evaluation.
+	v, s := round(swap(2, 3), swap(0, 1))
+	check("(a) endpoint rows changed, edges not re-pointed", v, s, []bool{false, true}, 1, 0)
+
+	// (b) swap(e1,e3) re-points e1 to (a,d): swap(e0,e1) is now
+	// (i,j)+(a,d), not degenerate on the live rows. The round-start
+	// verdict no longer applies; the proposal is re-checked and evaluated.
+	v, s = round(swap(1, 3), swap(0, 1))
+	check("(b) edge re-pointed", v, s, []bool{false, true}, 1, 1)
+
+	// (c) swap(e0,e4) is not degenerate, and swap(e2,e3) stamped its
+	// endpoint i: it is evaluated on the live state and counted.
+	v, s = round(swap(2, 3), swap(0, 4))
+	check("(c) stamped endpoint", v, s, []bool{false, false}, 1, 1)
 }
